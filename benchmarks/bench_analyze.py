@@ -3,7 +3,9 @@
 Measures the :mod:`repro.core.parallel_analysis` engine end to end:
 segment + intern + sentiment-score a D1-profile comment corpus into a
 :class:`~repro.core.columnar.ColumnarCommentStore`, serially and on
-1/2/4 worker processes, reporting comments/sec for each.
+1/2/4 requested worker processes, reporting comments/sec for each
+together with the worker count the :mod:`repro.parallel` executor
+actually ran (``min(requested, usable CPUs, chunks)``).
 
 Every parallel run starts from a private analyzer clone
 (:meth:`SemanticAnalyzer.clone_spec`) so all runs analyze under the
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -42,6 +43,7 @@ import numpy as np
 
 from benchutil import peak_rss_mib
 
+from repro import parallel
 from repro.analysis.reporting import render_table
 from repro.core.analyzer import SemanticAnalyzer
 from repro.core.columnar import ColumnarCommentStore, append_comments
@@ -64,13 +66,6 @@ CHUNK_SIZE = 2048
 #: D1 scale factors (fraction of the paper's ~1.48M-item snapshot).
 FULL_D1_SCALE = 0.01
 QUICK_D1_SCALE = 0.001
-
-
-def n_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux fallback
-        return os.cpu_count() or 1
 
 
 def build_corpus(quick: bool, scale: float | None):
@@ -134,6 +129,7 @@ def run(quick: bool, scale: float | None = None) -> dict:
     serial_s = time.perf_counter() - t0
     serial_rate = n_comments / max(serial_s, 1e-9)
 
+    n_chunks = -(-n_comments // CHUNK_SIZE)
     workers: dict[str, dict] = {}
     for count in WORKER_COUNTS:
         print(
@@ -154,12 +150,15 @@ def run(quick: bool, scale: float | None = None) -> dict:
         assert appended == n_comments
         assert_identical(serial_store, store)
         workers[str(count)] = {
+            "effective_workers": parallel.effective_workers(
+                count, n_chunks
+            ),
             "wall_s": round(wall_s, 3),
             "comments_per_s": round(n_comments / max(wall_s, 1e-9), 1),
             "speedup_vs_serial": round(serial_s / max(wall_s, 1e-9), 2),
         }
 
-    cpus = n_cpus()
+    cpus = parallel.usable_cpus()
     best = workers[str(WORKER_COUNTS[-1])]
     result = {
         "quick": quick,
@@ -178,6 +177,7 @@ def run(quick: bool, scale: float | None = None) -> dict:
             "floor": MIN_SCALING,
             "floor_enforced": cpus >= 4,
         },
+        "executor_fallbacks": parallel.STATS["fallbacks"],
         "bit_identical": True,  # asserted per run above
         "peak_rss_mib": round(peak_rss_mib(), 1),
     }
@@ -201,7 +201,8 @@ def render(result: dict) -> str:
             [
                 f"{count}-worker comments/s",
                 f"{stats['comments_per_s']} "
-                f"({stats['speedup_vs_serial']}x serial)",
+                f"({stats['speedup_vs_serial']}x serial, "
+                f"{stats['effective_workers']} ran)",
             ]
         )
     rows.append(["scaling ratio", result["scaling"]["ratio"]])

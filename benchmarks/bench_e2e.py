@@ -26,8 +26,8 @@ Taobao snapshot).  Six timed phases, one process:
   deployment classifier;
 * **train** -- fit the detector-settings GBDT on the D1-scale feature
   matrix through the level-synchronous histogram engine
-  (:mod:`repro.ml.hist_engine`, threaded on multi-core hosts) -- the
-  periodic-retraining cost of the mlops loop at this scale.
+  (:mod:`repro.ml.hist_engine`) -- the periodic-retraining cost of the
+  mlops loop at this scale.
 
 The benchmark *asserts* correctness before it reports timings:
 
@@ -244,12 +244,10 @@ def run(quick: bool, scale: float | None = None) -> dict:
         )
         from repro.ml import GradientBoostingClassifier
 
-        train_workers = min(n_cpus, 8) if n_cpus > 1 else None
         retrain_model = GradientBoostingClassifier(
             n_estimators=30 if quick else 120,
             learning_rate=0.2,
             max_depth=4,
-            n_tree_workers=train_workers,
             seed=0,
         )
         t0 = time.perf_counter()
@@ -282,7 +280,6 @@ def run(quick: bool, scale: float | None = None) -> dict:
         "detect_s": round(detect_s, 3),
         "train_s": round(train_s, 3),
         "n_train_trees": retrain_model.n_estimators,
-        "n_tree_workers": train_workers,
         "total_s": round(total_s, 3),
         "rehydrate_speedup": round(
             (analyze_s + extract_live_s) / max(rehydrate_s, 1e-9), 1

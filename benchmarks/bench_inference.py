@@ -9,9 +9,9 @@ The benchmark *asserts* bit-identity before it reports timings:
 
 * the packed margin must be ``np.array_equal`` to the per-tree
   reference (not merely close);
-* chunked scoring (``chunk_size=65536``) and multi-worker scoring
-  (``n_workers`` in {2, 4}) must be ``np.array_equal`` to the
-  single-pass packed result;
+* chunked detector scoring
+  (``Detector.predict_proba(chunk_size=65536)``, the one place scoring
+  is chunked) must be ``np.array_equal`` to the unchunked result;
 * the packed path must clear the speedup floor (``MIN_SPEEDUP`` = 3x
   at full scale; quick scale only sanity-checks >= 1x because the
   arena setup amortizes over rows).
@@ -39,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis.reporting import render_table
+from repro.core.detector import Detector
 from repro.ml import GradientBoostingClassifier
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -51,13 +52,13 @@ MIN_SPEEDUP = 3.0
 #: batch-size dependent (measured ~3.6x at 200k rows).
 MIN_SPEEDUP_QUICK = 1.0
 
-WORKER_COUNTS = (2, 4)
 CHUNK_SIZE = 65536
 TIMING_REPEATS = 3
 
 
 def synthetic_scoring_task(quick: bool):
-    """Detector-shaped model + deployment-sized batch.
+    """Detector-shaped model, its training set and a deployment-sized
+    batch.
 
     Training data is small (the model shape is what matters); the
     scoring batch is D1-sized at full scale.
@@ -79,7 +80,7 @@ def synthetic_scoring_task(quick: bool):
         seed=0,
     ).fit(X_train, y_train)
     X_score = rng.normal(size=(n_score, n_features))
-    return model, X_score
+    return model, X_train, y_train, X_score
 
 
 def best_of(fn, repeats: int = TIMING_REPEATS) -> tuple[float, np.ndarray]:
@@ -95,7 +96,7 @@ def best_of(fn, repeats: int = TIMING_REPEATS) -> tuple[float, np.ndarray]:
 
 def run(quick: bool) -> dict:
     print("building detector-shaped ensemble ...", file=sys.stderr)
-    model, X = synthetic_scoring_task(quick)
+    model, X_train, y_train, X = synthetic_scoring_task(quick)
     packed = model._packed_ensemble()
     out: dict[str, object] = {
         "quick": quick,
@@ -115,33 +116,22 @@ def run(quick: bool) -> dict:
         "packed margins must be bitwise identical to the per-tree reference"
     )
 
-    print("timing chunked + parallel scoring ...", file=sys.stderr)
+    print("timing unchunked + chunked detector scoring ...", file=sys.stderr)
+    detector = Detector().fit(X_train, y_train)
+    detector_s, whole = best_of(lambda: detector.predict_proba(X))
     chunk_s, chunked = best_of(
-        lambda: model.decision_function(X, chunk_size=CHUNK_SIZE)
+        lambda: detector.predict_proba(X, chunk_size=CHUNK_SIZE)
     )
-    assert np.array_equal(chunked, reference), (
-        "chunked margins must be bitwise identical to unchunked"
+    assert np.array_equal(chunked, whole), (
+        "chunked probabilities must be bitwise identical to unchunked"
     )
-    worker_s: dict[str, float] = {}
-    for n_workers in WORKER_COUNTS:
-        t, parallel = best_of(
-            lambda w=n_workers: model.decision_function(
-                X, chunk_size=CHUNK_SIZE, n_workers=w
-            ),
-            repeats=1 if quick else TIMING_REPEATS,
-        )
-        assert np.array_equal(parallel, reference), (
-            f"margins with n_workers={n_workers} must be bitwise "
-            "identical to serial"
-        )
-        worker_s[f"workers{n_workers}_s"] = round(t, 3)
 
     out.update(
         {
             "reference_s": round(ref_s, 3),
             "packed_s": round(packed_s, 3),
-            "chunked_s": round(chunk_s, 3),
-            **worker_s,
+            "detector_s": round(detector_s, 3),
+            "detector_chunked_s": round(chunk_s, 3),
             "chunk_size": CHUNK_SIZE,
             "speedup": round(ref_s / max(packed_s, 1e-9), 2),
             "rows_per_s_packed": int(X.shape[0] / max(packed_s, 1e-9)),

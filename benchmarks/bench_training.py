@@ -4,30 +4,28 @@ Measures the three training-path optimizations against the retained
 reference implementations:
 
 * **GBDT** -- ``tree_method="hist"`` (the level-synchronous histogram
-  engine, serial and thread-parallel) vs ``tree_method="hist-pernode"``
+  engine) vs ``tree_method="hist-pernode"``
   (the retained per-node histogram builder) vs ``tree_method="exact"``
   (greedy sorted-column scan) on a synthetic D0-scale dataset, with the
   detector's hyperparameters;
 * **cross-validation** -- five-fold CV over the Table III candidate
-  classifiers, serial vs ``n_workers=4``;
+  classifiers, serial vs ``n_workers=4`` (clamped by the executor to
+  the usable CPUs; the factories pickle, so the folds run on worker
+  processes);
 * **lexicon expansion** -- ``expand_lexicon`` through the batched
   one-matmul frontier scoring vs the retained per-word reference.
 
 The benchmark *asserts* correctness before it reports timings:
 
 * the level engine must be **byte-identical** to the per-node hist
-  builder (trees and margins, for every worker count measured);
+  builder (trees and margins);
 * hist and exact must land within ``MAX_F1_GAP`` (0.01) test-set F1 of
   each other, and hist must clear the speedup floor (``MIN_GBDT_SPEEDUP``
   = 3x at full scale; quick scale only sanity-checks >= 1x because
   binning amortizes over rows and rounds);
-* at full scale on hosts with >= ``MIN_CPUS_FOR_ENGINE_FLOOR`` CPUs the
-  threaded engine must be >= ``MIN_ENGINE_SPEEDUP`` x the per-node
-  builder (the same ``n_cpus`` gating convention as BENCH_analyze /
-  BENCH_cluster; the recorded ``n_cpus`` makes 1-CPU artifacts
-  self-explaining);
 * ``cross_validate`` must return **bitwise identical** metric dicts for
-  ``n_workers`` in {1, 4}, for every candidate classifier;
+  ``n_workers`` in {1, 4}, for every candidate classifier, without an
+  executor fallback;
 * both ``expand_lexicon`` paths must produce **identical** lexicons.
 
 Results are written to ``BENCH_training.json`` at the repo root and
@@ -46,13 +44,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from repro import parallel
 from repro.analysis.reporting import render_table
 from repro.core.detector import CLASSIFIER_FACTORIES, SCALED_CLASSIFIERS
 from repro.ml import GradientBoostingClassifier, StandardScaler
@@ -77,13 +76,6 @@ MAX_F1_GAP = 0.01
 #: The quick test split is only a few hundred rows, so single-flip F1
 #: noise dominates; the 0.01 criterion applies at D0 scale.
 MAX_F1_GAP_QUICK = 0.03
-#: Acceptance floor for the threaded level engine over the per-node
-#: hist builder at full scale ...
-MIN_ENGINE_SPEEDUP = 2.0
-#: ... enforced only on hosts with at least this many CPUs (the same
-#: gating convention as BENCH_analyze / BENCH_cluster: thread speedups
-#: are meaningless on 1-CPU runners).
-MIN_CPUS_FOR_ENGINE_FLOOR = 4
 
 CV_WORKER_COUNTS = (1, 4)
 
@@ -125,12 +117,11 @@ def _assert_same_model(reference, other, X_train, label: str) -> None:
 def bench_gbdt(quick: bool) -> dict:
     """Level engine vs per-node hist vs exact, at detector settings.
 
-    Asserts the engine's bit-identity to the per-node builder (serial
-    and threaded) before reporting any timing.
+    Asserts the engine's bit-identity to the per-node builder before
+    reporting any timing.
     """
     n = 3000 if quick else 16000  # 12k train rows at full scale
     n_estimators = 30 if quick else 120
-    n_cpus = os.cpu_count() or 1
     X_train, y_train, X_test, y_test = synthetic_d0(n)
     out: dict[str, float] = {}
 
@@ -153,25 +144,13 @@ def bench_gbdt(quick: bool) -> dict:
     exact = fit_timed("exact", tree_method="exact")
     pernode = fit_timed("hist_pernode", tree_method="hist-pernode")
     engine = fit_timed("hist", tree_method="hist")
-    _assert_same_model(pernode, engine, X_train, "engine(serial) vs pernode")
-
-    engine_best_s = out["hist_fit_s"]
-    if n_cpus > 1:
-        workers = min(n_cpus, 8)
-        threaded = fit_timed(
-            "hist_parallel", tree_method="hist", n_tree_workers=workers
-        )
-        _assert_same_model(
-            pernode, threaded, X_train, f"engine({workers} threads) vs pernode"
-        )
-        out["hist_parallel_workers"] = workers
-        engine_best_s = min(engine_best_s, out["hist_parallel_fit_s"])
+    _assert_same_model(pernode, engine, X_train, "engine vs pernode")
 
     out["n_train_rows"] = len(y_train)
     out["n_estimators"] = n_estimators
     out["speedup"] = round(out["exact_fit_s"] / out["hist_fit_s"], 2)
     out["engine_speedup_vs_pernode"] = round(
-        out["hist_pernode_fit_s"] / engine_best_s, 2
+        out["hist_pernode_fit_s"] / out["hist_fit_s"], 2
     )
     out["engine_bit_identical"] = True  # asserted above
     out["f1_gap"] = round(abs(out["hist_test_f1"] - out["exact_test_f1"]), 4)
@@ -179,7 +158,11 @@ def bench_gbdt(quick: bool) -> dict:
 
 
 def bench_cross_validation(quick: bool) -> dict:
-    """Serial vs 4-worker five-fold CV over the Table III candidates."""
+    """Serial vs 4-worker five-fold CV over the Table III candidates.
+
+    The executor runs ``min(4, usable CPUs, 5 folds)`` worker processes;
+    the bound factories pickle, so no run falls back inline.
+    """
     n = 800 if quick else 3000
     X, y, _, _ = synthetic_d0(n, seed=1)
     X_scaled = StandardScaler().fit(X).transform(X)
@@ -191,13 +174,14 @@ def bench_cross_validation(quick: bool) -> dict:
     per_candidate: dict[str, float] = {}
     timings: dict[int, float] = {}
     reference: dict[str, dict[str, float]] = {}
+    fallbacks = parallel.STATS["fallbacks"]
     for n_workers in CV_WORKER_COUNTS:
         t0 = time.perf_counter()
         for name in names:
             factory = CLASSIFIER_FACTORIES[name]
             data = X_scaled if name in SCALED_CLASSIFIERS else X
             scores = cross_validate(
-                lambda f=factory: f(0),
+                partial(factory, 0),
                 data,
                 y,
                 n_splits=5,
@@ -213,12 +197,18 @@ def bench_cross_validation(quick: bool) -> dict:
                     f"n_workers={CV_WORKER_COUNTS[0]} and {n_workers}"
                 )
         timings[n_workers] = round(time.perf_counter() - t0, 3)
+    assert parallel.STATS["fallbacks"] == fallbacks, (
+        "parallel CV fell back to inline execution"
+    )
     return {
         "n_rows": n,
         "candidates": names,
         "serial_s": timings[CV_WORKER_COUNTS[0]],
         "parallel_s": timings[CV_WORKER_COUNTS[1]],
         "workers_compared": list(CV_WORKER_COUNTS),
+        "effective_workers": parallel.effective_workers(
+            CV_WORKER_COUNTS[1], 5
+        ),
         "bitwise_identical": True,  # asserted above
         "f1_per_candidate": per_candidate,
     }
@@ -276,7 +266,7 @@ def run(quick: bool) -> dict:
     lexicon = bench_lexicon(quick)
     return {
         "quick": quick,
-        "n_cpus": os.cpu_count() or 1,
+        "n_cpus": parallel.usable_cpus(),
         "gbdt": gbdt,
         "cv": cv,
         "lexicon": lexicon,
@@ -319,14 +309,6 @@ def check_acceptance(result: dict) -> None:
     assert gbdt["f1_gap"] <= gap_cap, (
         f"hist-vs-exact F1 gap {gbdt['f1_gap']} exceeds {gap_cap}"
     )
-    # Thread-speedup floor only where threads can help (gated on the
-    # recorded n_cpus, like BENCH_analyze / BENCH_cluster).
-    if not result["quick"] and result["n_cpus"] >= MIN_CPUS_FOR_ENGINE_FLOOR:
-        assert gbdt["engine_speedup_vs_pernode"] >= MIN_ENGINE_SPEEDUP, (
-            f"level engine only {gbdt['engine_speedup_vs_pernode']}x the "
-            f"per-node builder on a {result['n_cpus']}-CPU host "
-            f"(need >= {MIN_ENGINE_SPEEDUP}x)"
-        )
     assert result["cv"]["bitwise_identical"]
     assert result["lexicon"]["identical"]
 

@@ -103,11 +103,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     print(
         f"training CATS (D0 scale {args.scale}) ...", file=sys.stderr
     )
-    cats, d0 = train_cats(
-        default_language(),
-        d0_scale=args.scale,
-        tree_workers=args.tree_workers,
-    )
+    cats, d0 = train_cats(default_language(), d0_scale=args.scale)
     save_cats(cats, args.model_dir)
     features = cats.extract_features(d0.items)
     # The training-time feature distribution travels with the archive
@@ -166,6 +162,7 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from repro import parallel
     from repro.core.columnar import ColumnarCommentStore, append_comments
 
     cats = load_cats(args.model_dir)
@@ -178,6 +175,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     columnar = ColumnarCommentStore(
         cats.analyzer.interner, analyzer_hash=analyzer_hash
     )
+    fallbacks = parallel.STATS["fallbacks"]
     appended = append_comments(
         columnar,
         cats.feature_extractor,
@@ -186,11 +184,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         n_workers=args.workers,
     )
     generation = columnar.save(args.store_dir)
+    # What ran: the request after the executor's clamp.
+    n_chunks = -(-len(store.comments) // args.chunk_size)
     print(
         json.dumps(
             {
                 "analyzed": appended,
-                "workers": args.workers,
+                "workers": parallel.effective_workers(
+                    args.workers, n_chunks
+                ),
+                "fallbacks": parallel.STATS["fallbacks"] - fallbacks,
                 "store_dir": args.store_dir,
                 "generation": generation,
                 "store": columnar.stats(),
@@ -245,17 +248,11 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if args.store:
         features = _load_columnar_features(cats, items, args.store)
         report = cats.detect_with_features(
-            items,
-            features,
-            chunk_size=args.chunk_size,
-            score_workers=args.score_workers,
+            items, features, chunk_size=args.chunk_size
         )
     else:
         report = cats.detect(
-            items,
-            n_workers=args.workers,
-            chunk_size=args.chunk_size,
-            score_workers=args.score_workers,
+            items, n_workers=args.workers, chunk_size=args.chunk_size
         )
     rows = []
     for idx in report.reported_indices():
@@ -667,14 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     train.add_argument(
         "--cv-workers", type=int, default=None,
-        help="fit CV folds on this many workers (default serial; "
-        "metrics are identical for any worker count)",
-    )
-    train.add_argument(
-        "--tree-workers", type=int, default=None,
-        help="threads for the GBDT level-histogram engine (default "
-        "single-threaded; the trained model is bit-identical for any "
-        "value)",
+        help="fit CV folds on this many worker processes (default "
+        "serial; metrics are identical for any worker count)",
     )
     train.add_argument(
         "--registry", default=None, metavar="DIR",
@@ -718,8 +709,9 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--workers", type=int, default=os.cpu_count(),
         help="analyze chunks on this many worker processes (default: "
-        "all CPUs; the store content is bit-identical for any worker "
-        "count, 1 = serial)",
+        "all CPUs; at most one per usable CPU and per chunk runs; the "
+        "store content is bit-identical for any worker count, 1 = "
+        "serial)",
     )
     analyze.set_defaults(func=_cmd_analyze)
 
@@ -742,11 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-size", type=int, default=None,
         help="score the classifier in fixed row chunks of this size "
         "(bounds peak memory; results are identical to unchunked)",
-    )
-    detect.add_argument(
-        "--score-workers", type=int, default=None,
-        help="score chunks on this many workers (default serial; "
-        "probabilities are identical for any worker count)",
     )
     detect.set_defaults(func=_cmd_detect)
 

@@ -73,11 +73,6 @@ class DetectorConfig:
     threshold: float = 0.98
     #: Seed for stochastic classifiers.
     seed: int = 0
-    #: Threads for the level-synchronous GBDT histogram engine
-    #: (``n_tree_workers`` of :class:`repro.ml.GradientBoostingClassifier`);
-    #: ``None`` trains single-threaded.  The fitted model is
-    #: bit-identical for any value, so this is purely a speed knob.
-    tree_workers: int | None = None
 
 
 @dataclass(frozen=True)

@@ -28,33 +28,52 @@ from repro.ml import (
     StandardScaler,
 )
 
+# One module-level factory per classifier, so a bound factory
+# (``functools.partial(factory, seed)``) pickles into worker processes.
+
+
+def _xgboost(seed: int) -> GradientBoostingClassifier:
+    return GradientBoostingClassifier(
+        n_estimators=120, learning_rate=0.2, max_depth=4, seed=seed
+    )
+
+
+def _svm(seed: int) -> LinearSVC:
+    return LinearSVC(C=1.0, max_iter=200, seed=seed)
+
+
+def _adaboost(seed: int) -> AdaBoostClassifier:
+    return AdaBoostClassifier(n_estimators=80, max_depth=2)
+
+
+def _neural_network(seed: int) -> MLPClassifier:
+    return MLPClassifier(
+        hidden_layer_sizes=(16,), max_epochs=30, learning_rate=1e-3, seed=seed
+    )
+
+
+def _decision_tree(seed: int) -> DecisionTreeClassifier:
+    return DecisionTreeClassifier(max_depth=8, min_samples_leaf=5)
+
+
+def _naive_bayes(seed: int) -> GaussianNB:
+    return GaussianNB()
+
+
 #: Factory per classifier name.  Hyperparameters are the defaults used
 #: throughout the reproduction (see EXPERIMENTS.md for the Table III
 #: sweep these produce).
 CLASSIFIER_FACTORIES: dict[str, Callable[[int], object]] = {
-    "xgboost": lambda seed: GradientBoostingClassifier(
-        n_estimators=120, learning_rate=0.2, max_depth=4, seed=seed
-    ),
-    "svm": lambda seed: LinearSVC(C=1.0, max_iter=200, seed=seed),
-    "adaboost": lambda seed: AdaBoostClassifier(n_estimators=80, max_depth=2),
-    "neural_network": lambda seed: MLPClassifier(
-        hidden_layer_sizes=(16,), max_epochs=30, learning_rate=1e-3, seed=seed
-    ),
-    "decision_tree": lambda seed: DecisionTreeClassifier(
-        max_depth=8, min_samples_leaf=5
-    ),
-    "naive_bayes": lambda seed: GaussianNB(),
+    "xgboost": _xgboost,
+    "svm": _svm,
+    "adaboost": _adaboost,
+    "neural_network": _neural_network,
+    "decision_tree": _decision_tree,
+    "naive_bayes": _naive_bayes,
 }
 
 #: Classifiers that need standardized inputs.
 SCALED_CLASSIFIERS = frozenset({"svm", "neural_network"})
-
-
-def _score_detector_chunk(task) -> np.ndarray:
-    """Score one chunk of converted feature rows; module-level so
-    process-pool workers can import it."""
-    detector, X_chunk = task
-    return detector._score_rows(X_chunk)
 
 
 @dataclass
@@ -115,13 +134,6 @@ class Detector:
         y = np.asarray(labels)
         name = self.config.classifier
         self._model = CLASSIFIER_FACTORIES[name](self.config.seed)
-        if (
-            self.config.tree_workers is not None
-            and isinstance(self._model, GradientBoostingClassifier)
-        ):
-            # Speed knob only: the level engine is bit-identical for
-            # any worker count, so the trained detector is unchanged.
-            self._model.n_tree_workers = self.config.tree_workers
         if name in SCALED_CLASSIFIERS:
             self._scaler = StandardScaler().fit(X)
             X = self._scaler.transform(X)
@@ -143,50 +155,33 @@ class Detector:
         self,
         features: np.ndarray,
         chunk_size: int | None = None,
-        n_workers: int | None = None,
     ) -> np.ndarray:
         """Stage-2 P(fraud) for already-filtered feature rows.
 
         ``chunk_size`` scores the matrix in fixed row chunks (bounding
-        peak memory at D1/E-platform scale) and ``n_workers > 1`` scores
-        chunks concurrently.  Chunk boundaries depend only on
-        ``chunk_size`` and rows are scored independently, so the
-        tree-based classifiers return bitwise identical probabilities
-        for any chunking and worker count.
+        peak memory at D1/E-platform scale).  Rows are scored
+        independently, so the tree-based classifiers return bitwise
+        identical probabilities for any chunking.
         """
         X = np.asarray(features, dtype=np.float64)
-        return self._predict_proba_converted(X, chunk_size, n_workers)
+        return self._predict_proba_converted(X, chunk_size)
 
     def _predict_proba_converted(
-        self,
-        X: np.ndarray,
-        chunk_size: int | None = None,
-        n_workers: int | None = None,
+        self, X: np.ndarray, chunk_size: int | None = None
     ) -> np.ndarray:
         """Scoring core for rows already converted to float64 (the
         detect path converts exactly once and comes straight here)."""
         n = len(X)
-        if chunk_size is None and n_workers is not None and n_workers > 1:
-            chunk_size = -(-n // n_workers)  # ceil: one chunk per worker
         if chunk_size is None or chunk_size >= n:
             return self._score_rows(X)
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        bounds = [
-            (start, min(start + chunk_size, n))
-            for start in range(0, n, chunk_size)
-        ]
-        if n_workers is not None and n_workers > 1 and len(bounds) > 1:
-            from repro.ml.model_selection import _map_ordered
-
-            parts = _map_ordered(
-                _score_detector_chunk,
-                [(self, X[s:e]) for s, e in bounds],
-                n_workers,
-            )
-        else:
-            parts = [self._score_rows(X[s:e]) for s, e in bounds]
-        return np.concatenate(parts)
+        return np.concatenate(
+            [
+                self._score_rows(X[start : start + chunk_size])
+                for start in range(0, n, chunk_size)
+            ]
+        )
 
     def _score_rows(self, X: np.ndarray) -> np.ndarray:
         """Scale (if needed) and score one chunk of converted rows."""
@@ -212,15 +207,14 @@ class Detector:
         items: Sequence,
         feature_matrix: np.ndarray,
         chunk_size: int | None = None,
-        n_workers: int | None = None,
     ) -> DetectionReport:
         """Run both stages over *items* with their feature rows.
 
         ``items`` must expose ``sales_volume`` and ``comment_texts``
         (both :class:`~repro.ecommerce.entities.Item` and
         :class:`~repro.collector.records.CrawledItem` do).
-        ``chunk_size`` / ``n_workers`` control stage-2 batch scoring
-        (see :meth:`predict_proba`).
+        ``chunk_size`` chunks stage-2 batch scoring (see
+        :meth:`predict_proba`).
         """
         # Convert once; the filtered rows flow to the classifier without
         # a second asarray pass.
@@ -229,7 +223,7 @@ class Detector:
         proba = np.zeros(len(items))
         if passed.any():
             proba[passed] = self._predict_proba_converted(
-                features[passed], chunk_size, n_workers
+                features[passed], chunk_size
             )
         flagged = proba >= self.config.threshold
         return DetectionReport(

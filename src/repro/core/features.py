@@ -47,11 +47,12 @@ Parallel batches
 ----------------
 
 ``extract_many``/``extract_items`` accept an opt-in ``n_workers``
-parameter.  With ``n_workers > 1`` the item batch is split into
-contiguous chunks that are extracted in worker processes; rows are
-computed independently, so the resulting matrix equals the serial
-result exactly.  The default stays serial (spawning processes is not
-worth it for small batches).
+parameter.  When the :mod:`repro.parallel` executor grants more than
+one worker, the item batch is split into one contiguous chunk per
+worker; each worker clones the extractor once and returns its chunk's
+feature rows.  Rows are computed independently, so the resulting matrix
+equals the serial result exactly.  The default stays serial (spawning
+processes is not worth it for small batches).
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ import numpy as np
 from repro.core.analysis_cache import AnalysisCache, CacheInfo
 from repro.core.analyzer import SemanticAnalyzer
 from repro.core.interning import TokenInterner
+from repro.parallel import effective_workers, map_ordered, worker_state
 from repro.text.ngrams import positive_bigram_count
 from repro.text.stats import (
     comment_entropy,
@@ -394,21 +396,18 @@ class FeatureExtractor:
         *distinct* cache-missing text once and scores all misses'
         sentiment through one batched NB call.
 
-        With ``n_workers > 1`` the batch is analyzed by the parallel
-        sharded engine (:mod:`repro.core.parallel_analysis`): every
-        returned stats object is field-for-field equal to the serial
-        one, with ``token_ids`` in the merged interner's id space and
-        the interner grown exactly as a serial run would grow it.
-        Falls back to the serial path (and stays correct) when worker
-        processes cannot be spawned.
+        When the executor grants more than one worker the batch is
+        analyzed by the parallel sharded engine
+        (:mod:`repro.core.parallel_analysis`): every returned stats
+        object is field-for-field equal to the serial one, with
+        ``token_ids`` in the merged interner's id space and the
+        interner grown exactly as a serial run would grow it.
         """
         interner = self._interner()
-        if n_workers and n_workers > 1 and len(texts) > 1:
+        if effective_workers(n_workers, len(texts)) > 1:
             from repro.core.parallel_analysis import analyze_stats_many
 
-            results = analyze_stats_many(self, texts, n_workers)
-            if results is not None:
-                return results
+            return analyze_stats_many(self, texts, n_workers)
         cache = self._cache
         results: list[CommentStats | None] = [None] * len(texts)
         computed: dict[str, int] = {}
@@ -508,52 +507,36 @@ class FeatureExtractor:
         comment_lists:
             One comment-text list per item.
         n_workers:
-            When > 1, extract contiguous chunks of the batch in that
-            many worker processes.  Rows are independent, so the result
-            equals the serial matrix exactly.  ``None``/``0``/``1``
-            stays serial.
+            Extract one contiguous chunk of the batch per worker the
+            executor grants (see :mod:`repro.parallel`).  Rows are
+            independent, so the result equals the serial matrix
+            exactly.  ``None``/``0``/``1`` stays serial.
         """
         if len(comment_lists) == 0:
             return np.zeros((0, N_FEATURES))
-        if n_workers and n_workers > 1 and len(comment_lists) > 1:
-            matrix = self._extract_many_parallel(comment_lists, n_workers)
-            if matrix is not None:
-                return matrix
+        workers = effective_workers(n_workers, len(comment_lists))
+        if workers > 1:
+            from repro.core.parallel_analysis import (
+                make_worker_state,
+                worker_initargs,
+            )
+
+            bounds = np.linspace(0, len(comment_lists), workers + 1)
+            bounds = bounds.astype(int)
+            chunks = [
+                list(comment_lists[start:end])
+                for start, end in zip(bounds[:-1], bounds[1:])
+            ]
+            return np.vstack(
+                map_ordered(
+                    _extract_rows,
+                    chunks,
+                    workers,
+                    initializer=make_worker_state,
+                    initargs=worker_initargs(self),
+                )
+            )
         return np.vstack([self.extract(c) for c in comment_lists])
-
-    def _extract_chunk(
-        self, comment_lists: Sequence[Sequence[str]]
-    ) -> np.ndarray:
-        """Worker entry point: serial extraction of one chunk."""
-        return np.vstack([self.extract(c) for c in comment_lists])
-
-    def _extract_many_parallel(
-        self,
-        comment_lists: Sequence[Sequence[str]],
-        n_workers: int,
-    ) -> np.ndarray | None:
-        """Chunked multi-process extraction; None when pools are unusable.
-
-        The extractor (analyzer included) is pickled once per chunk, so
-        chunks are as large as possible: one per worker.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        n_chunks = min(n_workers, len(comment_lists))
-        bounds = np.linspace(0, len(comment_lists), n_chunks + 1).astype(int)
-        chunks = [
-            list(comment_lists[bounds[i] : bounds[i + 1]])
-            for i in range(n_chunks)
-            if bounds[i] < bounds[i + 1]
-        ]
-        try:
-            with ProcessPoolExecutor(max_workers=n_chunks) as pool:
-                rows = list(pool.map(self._extract_chunk, chunks))
-        except (OSError, PermissionError):
-            # Restricted environments (no process spawning) fall back
-            # to the serial path rather than failing the extraction.
-            return None
-        return np.vstack(rows)
 
     def extract_items(
         self, items: Sequence, n_workers: int | None = None
@@ -566,3 +549,8 @@ class FeatureExtractor:
         return self.extract_many(
             [item.comment_texts for item in items], n_workers=n_workers
         )
+
+
+def _extract_rows(comment_lists: Sequence[Sequence[str]]) -> np.ndarray:
+    """Executor task: one chunk's feature rows on the worker's clone."""
+    return worker_state()["extractor"].extract_many(comment_lists)

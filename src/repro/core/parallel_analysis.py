@@ -15,9 +15,10 @@ This module parallelizes around that state instead:
 1. the corpus is split into **deterministic contiguous chunks** (a pure
    function of ``len(records)`` and ``chunk_size`` -- never of worker
    count or scheduling);
-2. every worker process rebuilds a private analyzer from one pickled
-   spec (:meth:`~repro.core.analyzer.SemanticAnalyzer.clone_spec`), so
-   its **local interner** starts as an exact copy of the parent's
+2. the chunks run on the :mod:`repro.parallel` executor, whose
+   initializer rebuilds a private analyzer in every worker from one
+   pickled spec (:meth:`~repro.core.analyzer.SemanticAnalyzer.clone_spec`),
+   so its **local interner** starts as an exact copy of the parent's
    (``base_vocab`` ids agree by construction) and grows independently;
 3. each chunk comes back as an :class:`AnalysisShard`: a columnar
    payload (local-id ``int32`` token arena + offsets + the per-comment
@@ -37,10 +38,11 @@ per-item coverage.  Counters are merged back into the parent analyzer
 and cache so ``/stats`` gauges and the zero-resegmentation assertions
 stay truthful under ``--workers``.
 
-Failure semantics: if worker processes cannot be spawned at all (a
-sandboxed environment), the engine falls back to the in-process path --
-*counted* in :data:`ENGINE_STATS` and logged, never silent.  A worker
-that dies mid-run (OOM kill, segfault) raises
+Failure semantics: when the executor clamps the run to one worker the
+serial path runs directly.  If worker processes cannot be spawned at
+all (a sandboxed environment), the executor analyzes the same chunks
+inline -- *counted* in :data:`ENGINE_STATS` and logged, never silent.
+A worker that dies mid-run (OOM kill, segfault) raises
 :class:`ParallelAnalysisError` before anything is appended: shards are
 collected first, merged after, so a partial run never produces a
 partial store.
@@ -48,18 +50,14 @@ partial store.
 
 from __future__ import annotations
 
-import logging
-import os
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro import parallel
 from repro.core.interning import merge_interners, remap_ids
-
-_log = logging.getLogger(__name__)
 
 #: Engine activity counters (process-wide).  ``serial_fallbacks`` counts
 #: runs that wanted workers but had to analyze in-process because the
@@ -123,12 +121,10 @@ class AnalysisShard:
 
 # -- worker side -------------------------------------------------------------
 
-#: Per-process worker state (set once by the pool initializer).
-_WORKER_STATE: dict | None = None
 
-
-def _make_worker_state(spec: bytes, cache_size: int | None) -> dict:
-    """Build one worker's private extractor from the pickled spec."""
+def make_worker_state(spec: bytes, cache_size: int | None) -> dict:
+    """Executor initializer: one worker's private extractor, cloned
+    from the pickled analyzer spec."""
     from repro.core.analyzer import SemanticAnalyzer
     from repro.core.features import FeatureExtractor
 
@@ -138,6 +134,15 @@ def _make_worker_state(spec: bytes, cache_size: int | None) -> dict:
         "extractor": extractor,
         "base_vocab": len(analyzer.interner),
     }
+
+
+def worker_initargs(extractor) -> tuple[bytes, int | None]:
+    """:func:`make_worker_state` arguments that clone *extractor*."""
+    cache = extractor._cache
+    return (
+        extractor.analyzer.clone_spec(),
+        cache.maxsize if cache is not None else None,
+    )
 
 
 def _analyze_chunk_in_state(state: dict, texts: Sequence[str]) -> AnalysisShard:
@@ -204,16 +209,9 @@ def _analyze_chunk_in_state(state: dict, texts: Sequence[str]) -> AnalysisShard:
     )
 
 
-def _init_worker(spec: bytes, cache_size: int | None) -> None:
-    """Process-pool initializer: one analyzer clone per worker process."""
-    global _WORKER_STATE
-    _WORKER_STATE = _make_worker_state(spec, cache_size)
-
-
 def _analyze_chunk(texts: Sequence[str]) -> AnalysisShard:
-    """Pool entry point; dispatches to the initializer-built state."""
-    assert _WORKER_STATE is not None, "worker used before initialization"
-    return _analyze_chunk_in_state(_WORKER_STATE, texts)
+    """Executor task; runs on the initializer-built worker state."""
+    return _analyze_chunk_in_state(parallel.worker_state(), texts)
 
 
 # -- parent side -------------------------------------------------------------
@@ -229,62 +227,35 @@ def _chunk_bounds(n: int, chunk_size: int) -> list[tuple[int, int]]:
     ]
 
 
-def _extractor_cache_size(extractor) -> int | None:
-    cache = extractor._cache
-    return cache.maxsize if cache is not None else None
-
-
 def _run_shards(
     extractor,
     text_chunks: Sequence[Sequence[str]],
     n_workers: int,
-    pool: str,
-) -> list[AnalysisShard] | None:
-    """Analyze every chunk on workers; shards come back in chunk order.
+) -> list[AnalysisShard]:
+    """Analyze every chunk on the executor, shards in chunk order.
 
-    Returns ``None`` when worker processes cannot be spawned at all
-    (counted + logged; the caller runs its serial path instead).  A
-    worker dying mid-run raises :class:`ParallelAnalysisError`.
+    A worker dying mid-run raises :class:`ParallelAnalysisError`.
     """
-    spec = extractor.analyzer.clone_spec()
-    cache_size = _extractor_cache_size(extractor)
-    n_workers = min(n_workers, len(text_chunks))
-    if pool == "inline":
-        # In-process simulation of the worker fleet (tests, diagnostics
-        # and the spawn-denied fallback): same per-worker clone + state
-        # code, chunks dealt round-robin so one simulated worker sees
-        # multiple chunks exactly like a real pool worker would.
-        states = [
-            _make_worker_state(spec, cache_size) for _ in range(n_workers)
-        ]
-        return [
-            _analyze_chunk_in_state(states[i % n_workers], texts)
-            for i, texts in enumerate(text_chunks)
-        ]
-    if pool != "process":
-        raise ValueError(f"pool must be 'process' or 'inline', got {pool!r}")
+    fallbacks = parallel.STATS["fallbacks"]
     try:
-        with ProcessPoolExecutor(
-            max_workers=n_workers,
-            initializer=_init_worker,
-            initargs=(spec, cache_size),
-        ) as executor:
-            return list(executor.map(_analyze_chunk, text_chunks))
+        shards = parallel.map_ordered(
+            _analyze_chunk,
+            text_chunks,
+            n_workers,
+            initializer=make_worker_state,
+            initargs=worker_initargs(extractor),
+        )
     except BrokenProcessPool as exc:
         raise ParallelAnalysisError(
             f"an analysis worker died mid-run ({exc}); no shards were "
             f"merged and no partial results were committed -- re-run, "
             f"or analyze serially with n_workers=1"
         ) from exc
-    except (OSError, PermissionError) as exc:
+    if parallel.STATS["fallbacks"] > fallbacks:
         ENGINE_STATS["serial_fallbacks"] += 1
-        _log.warning(
-            "cannot spawn analysis worker processes (%s); falling back "
-            "to in-process analysis (serial_fallbacks=%d)",
-            exc,
-            ENGINE_STATS["serial_fallbacks"],
-        )
-        return None
+    else:
+        ENGINE_STATS["parallel_runs"] += 1
+    return shards
 
 
 def _merge_shard(extractor, shard: AnalysisShard) -> np.ndarray:
@@ -313,7 +284,6 @@ def analyze_many(
     records: Sequence,
     n_workers: int | None = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    pool: str = "process",
 ) -> int:
     """Analyze *records* on *n_workers* processes and append to *store*.
 
@@ -325,29 +295,22 @@ def analyze_many(
     *entries* (worker-side analyses are not shipped back as objects)
     may differ from a serial run.  Returns the number of appended rows.
 
-    ``n_workers`` of ``None``/``0``/``1`` runs the serial path
-    directly.  *pool* selects real worker processes (``"process"``,
-    default) or the in-process simulation (``"inline"`` -- identical
-    results, no spawn cost; used by tests and the spawn-denied
-    fallback).
+    When the executor would run one worker (``n_workers`` of
+    ``None``/``0``/``1``, one usable CPU, or one chunk) the serial path
+    runs directly.
     """
     from repro.core.columnar import append_comments
 
-    if not n_workers or n_workers <= 1 or len(records) <= 1:
+    bounds = _chunk_bounds(len(records), chunk_size)
+    if parallel.effective_workers(n_workers, len(bounds)) <= 1:
         return append_comments(
             store, extractor, records, chunk_size=chunk_size
         )
-    bounds = _chunk_bounds(len(records), chunk_size)
     text_chunks = [
         [records[i].content for i in range(start, end)]
         for start, end in bounds
     ]
-    shards = _run_shards(extractor, text_chunks, n_workers, pool)
-    if shards is None:
-        return append_comments(
-            store, extractor, records, chunk_size=chunk_size
-        )
-    ENGINE_STATS["parallel_runs"] += 1
+    shards = _run_shards(extractor, text_chunks, n_workers)
     appended = 0
     for (start, end), shard in zip(bounds, shards):
         chunk = records[start:end]
@@ -368,8 +331,7 @@ def analyze_stats_many(
     texts: Sequence[str],
     n_workers: int,
     chunk_size: int | None = None,
-    pool: str = "process",
-) -> "list | None":
+) -> list:
     """Parallel :meth:`FeatureExtractor.comment_stats_many` backend.
 
     Analyzes *texts* on workers, merges vocabularies deterministically,
@@ -378,10 +340,6 @@ def analyze_stats_many(
     ``token_ids`` already in the merged (parent) id space.  Duplicate
     texts share one stats object, and the parent cache is populated
     with the rebuilt entries, matching the serial path's behaviour.
-
-    Returns ``None`` when workers cannot be spawned (the caller's
-    serial path takes over; the fallback is counted in
-    :data:`ENGINE_STATS`).
     """
     from collections import Counter
 
@@ -393,10 +351,7 @@ def analyze_stats_many(
         chunk_size = max(1, -(-len(texts) // max(1, n_workers)))
     bounds = _chunk_bounds(len(texts), chunk_size)
     text_chunks = [texts[start:end] for start, end in bounds]
-    shards = _run_shards(extractor, text_chunks, n_workers, pool)
-    if shards is None:
-        return None
-    ENGINE_STATS["parallel_runs"] += 1
+    shards = _run_shards(extractor, text_chunks, n_workers)
     interner = extractor._interner()
     cache = extractor._cache
     results: list = []
@@ -447,7 +402,3 @@ def analyze_stats_many(
             results.append(stats)
     return results
 
-
-def default_workers() -> int:
-    """The CLI default worker count: every CPU the host advertises."""
-    return os.cpu_count() or 1

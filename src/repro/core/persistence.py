@@ -247,12 +247,21 @@ def _config_to_dict(config: CATSConfig) -> dict[str, Any]:
     }
 
 
+#: Detector config keys older archives may carry that no longer exist.
+_RETIRED_DETECTOR_KEYS = frozenset({"tree_workers"})
+
+
 def _config_from_dict(data: dict[str, Any]) -> CATSConfig:
+    detector = {
+        key: value
+        for key, value in data["detector"].items()
+        if key not in _RETIRED_DETECTOR_KEYS
+    }
     return CATSConfig(
         lexicon=LexiconConfig(**data["lexicon"]),
         word2vec=Word2VecConfig(**data["word2vec"]),
         rules=RuleConfig(**data["rules"]),
-        detector=DetectorConfig(**data["detector"]),
+        detector=DetectorConfig(**detector),
     )
 
 

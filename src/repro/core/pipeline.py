@@ -15,7 +15,7 @@ benchmark harness calls:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,20 +70,8 @@ def train_cats(
     config: CATSConfig | None = None,
     analyzer_seed: int = 500,
     d0_seed: int = 100,
-    tree_workers: int | None = None,
 ) -> tuple[CATS, LabeledDataset]:
-    """Train the full system: analyzer + detector pre-trained on D0.
-
-    ``tree_workers`` threads the GBDT histogram engine during the
-    detector fit (``DetectorConfig.tree_workers``); the trained system
-    is bit-identical for any value.
-    """
-    if tree_workers is not None:
-        config = config or CATSConfig()
-        config = replace(
-            config,
-            detector=replace(config.detector, tree_workers=tree_workers),
-        )
+    """Train the full system: analyzer + detector pre-trained on D0."""
     analyzer = build_analyzer(language, config=config, seed=analyzer_seed)
     cats = CATS(analyzer, config=config)
     d0 = build_d0(language, scale=d0_scale, seed=d0_seed)
@@ -96,20 +84,15 @@ def evaluate_on_dataset(
     dataset: LabeledDataset,
     n_workers: int | None = None,
     chunk_size: int | None = None,
-    score_workers: int | None = None,
 ) -> tuple[EvaluationResult, DetectionReport]:
     """Detect over *dataset* and compute Table VI metrics.
 
     ``n_workers > 1`` parallelizes feature extraction (the hot path)
-    across worker processes; ``chunk_size`` / ``score_workers`` chunk
-    and parallelize stage-2 scoring.  Results are identical to the
-    serial run.
+    across worker processes; ``chunk_size`` chunks stage-2 scoring.
+    Results are identical to the serial run.
     """
     report = cats.detect(
-        dataset.items,
-        n_workers=n_workers,
-        chunk_size=chunk_size,
-        score_workers=score_workers,
+        dataset.items, n_workers=n_workers, chunk_size=chunk_size
     )
     predictions = report.is_fraud.astype(int)
     precision, recall, f1 = precision_recall_f1(dataset.labels, predictions)

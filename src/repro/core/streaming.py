@@ -443,22 +443,14 @@ class StreamingDetector:
         self._score(item_id, state, last)
         return state.last_probability
 
-    def force_rescore_many(
-        self,
-        item_ids: Iterable[int],
-        chunk_size: int | None = None,
-        n_workers: int | None = None,
-    ) -> dict[int, float]:
+    def force_rescore_many(self, item_ids: Iterable[int]) -> dict[int, float]:
         """Score a batch of tracked items in one classifier call.
 
         All rule-passing items are stacked into a single feature matrix
         and sent through ``predict_proba`` together -- the classifier
         traverses its whole packed ensemble over the batch at once (see
         :mod:`repro.ml.inference`), so a batch of k items costs roughly
-        one item's numpy overhead instead of k.  ``chunk_size`` /
-        ``n_workers`` pass through to
-        :meth:`~repro.core.detector.Detector.predict_proba` for very
-        large batches.
+        one item's numpy overhead instead of k.
         The per-item results (probabilities, state updates, at-most-once
         alerts) are bit-identical to calling :meth:`force_rescore` per
         item in the same order -- the serving layer's micro-batching
@@ -524,9 +516,7 @@ class StreamingDetector:
                 results[item_id] = 0.0
         if to_predict:
             matrix = np.vstack([row for _, _, row in to_predict])
-            probabilities = detector.predict_proba(
-                matrix, chunk_size=chunk_size, n_workers=n_workers
-            )
+            probabilities = detector.predict_proba(matrix)
             for (item_id, state, _), probability in zip(
                 to_predict, probabilities
             ):

@@ -10,6 +10,7 @@ trained on, which is the paper's cross-platform claim.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import partial
 
 import numpy as np
 
@@ -87,32 +88,25 @@ class CATS:
         items: Sequence,
         n_workers: int | None = None,
         chunk_size: int | None = None,
-        score_workers: int | None = None,
     ) -> DetectionReport:
         """Detect fraud items among *items* on any platform.
 
         ``n_workers`` parallelizes feature extraction; ``chunk_size``
-        and ``score_workers`` control stage-2 batch scoring (see
-        :meth:`Detector.predict_proba`).
+        chunks stage-2 batch scoring (see :meth:`Detector.predict_proba`).
         """
         features = self.feature_extractor.extract_items(
             items, n_workers=n_workers
         )
-        return self.detector.detect(
-            items, features, chunk_size=chunk_size, n_workers=score_workers
-        )
+        return self.detector.detect(items, features, chunk_size=chunk_size)
 
     def detect_with_features(
         self,
         items: Sequence,
         features: np.ndarray,
         chunk_size: int | None = None,
-        score_workers: int | None = None,
     ) -> DetectionReport:
         """Detect when features were already extracted (avoids rework)."""
-        return self.detector.detect(
-            items, features, chunk_size=chunk_size, n_workers=score_workers
-        )
+        return self.detector.detect(items, features, chunk_size=chunk_size)
 
     # -- model selection ------------------------------------------------------
 
@@ -126,9 +120,9 @@ class CATS:
         """K-fold CV of the configured stage-2 classifier on a feature
         matrix (the paper's Table III protocol for one candidate).
 
-        ``n_workers > 1`` fits the folds concurrently (see
-        :func:`repro.ml.model_selection.cross_validate`); the metric
-        dict is bitwise identical for every worker count.
+        ``n_workers > 1`` fits the folds concurrently on worker
+        processes (see :func:`repro.ml.model_selection.cross_validate`);
+        the metric dict is bitwise identical for every worker count.
         """
         from repro.core.detector import (
             CLASSIFIER_FACTORIES,
@@ -141,10 +135,13 @@ class CATS:
         name = self.config.detector.classifier
         if name in SCALED_CLASSIFIERS:
             X = StandardScaler().fit(X).transform(X)
-        factory = CLASSIFIER_FACTORIES[name]
-        model_seed = self.config.detector.seed
+        # A partial of a module-level factory pickles, so the folds
+        # reach the process pool.
+        factory = partial(
+            CLASSIFIER_FACTORIES[name], self.config.detector.seed
+        )
         return cross_validate(
-            lambda: factory(model_seed),
+            factory,
             X,
             np.asarray(labels),
             n_splits=n_splits,

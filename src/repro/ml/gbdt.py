@@ -17,10 +17,9 @@ implements the algorithm of Chen & Guestrin (KDD'16) from scratch:
     per tree level builds every node's gradient/hessian histograms at
     once, sibling histograms derive by subtraction (parent - child, as
     in LightGBM), the best split of every node is found by one
-    vectorized scan over the level's cumsum tensor, and
-    ``n_tree_workers`` threads can bincount contiguous feature blocks
-    concurrently.  Bit-identical to ``"hist-pernode"`` for any worker
-    count (see the engine module docstring for the ordering argument).
+    vectorized scan over the level's cumsum tensor.  Bit-identical to
+    ``"hist-pernode"`` (see the engine module docstring for the
+    ordering argument).
   - ``"hist-pernode"``: the original per-node histogram builder, kept
     as the engine's bit-identity reference -- a gather plus one flat
     ``np.bincount`` per node, boundary scan per feature in Python.
@@ -32,9 +31,8 @@ implements the algorithm of Chen & Guestrin (KDD'16) from scratch:
 Scoring goes through the packed-arena engine of
 :mod:`repro.ml.inference`: ``decision_function`` lazily freezes the
 fitted trees into one contiguous node arena and traverses them all
-simultaneously, with opt-in ``chunk_size`` / ``n_workers`` batch
-scoring; ``decision_function_reference`` keeps the per-tree loop as
-the bit-identity oracle.  During ``fit`` the margin update reuses the
+simultaneously; ``decision_function_reference`` keeps the per-tree loop
+as the bit-identity oracle.  During ``fit`` the margin update reuses the
 leaf assignment recorded while each tree was grown (a gather instead
 of a re-traversal); under ``subsample`` the gather covers the sampled
 rows and only the left-out rows take ``tree.predict``.
@@ -524,10 +522,8 @@ class GradientBoostingClassifier(BaseClassifier):
     (min hessian per child), ``subsample`` (row sampling per round) and
     ``colsample`` (column sampling per tree); plus ``tree_method``
     (``"hist"`` default -- the level-synchronous engine;
-    ``"hist-pernode"`` and ``"exact"`` are the retained references),
-    ``n_bins`` (histogram resolution, at most 256) and
-    ``n_tree_workers`` (threads bincounting feature blocks per level
-    under ``"hist"``; the fitted model is bit-identical for any value).
+    ``"hist-pernode"`` and ``"exact"`` are the retained references) and
+    ``n_bins`` (histogram resolution, at most 256).
     """
 
     def __init__(
@@ -542,7 +538,6 @@ class GradientBoostingClassifier(BaseClassifier):
         colsample: float = 1.0,
         tree_method: str = "hist",
         n_bins: int = _MAX_BINS,
-        n_tree_workers: int | None = None,
         seed: int | np.random.Generator | None = 0,
     ) -> None:
         if n_estimators < 1:
@@ -564,10 +559,6 @@ class GradientBoostingClassifier(BaseClassifier):
             raise ValueError(
                 f"n_bins must be in [2, {_MAX_BINS}], got {n_bins}"
             )
-        if n_tree_workers is not None and n_tree_workers < 1:
-            raise ValueError(
-                f"n_tree_workers must be >= 1, got {n_tree_workers}"
-            )
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -578,7 +569,6 @@ class GradientBoostingClassifier(BaseClassifier):
         self.colsample = colsample
         self.tree_method = tree_method
         self.n_bins = n_bins
-        self.n_tree_workers = n_tree_workers
         self._seed = seed
 
     def fit(self, X, y) -> "GradientBoostingClassifier":
@@ -599,9 +589,8 @@ class GradientBoostingClassifier(BaseClassifier):
         if self.tree_method == "hist":
             from repro.ml.hist_engine import LevelHistEngine
 
-            # One engine per fit: the flat-code layout, per-level
-            # histogram buffers and worker threads persist across
-            # boosting rounds.
+            # One engine per fit: the flat-code layout and per-level
+            # histogram buffers persist across boosting rounds.
             engine = LevelHistEngine(
                 codes=codes,
                 split_points=split_points,
@@ -610,7 +599,6 @@ class GradientBoostingClassifier(BaseClassifier):
                 reg_lambda=self.reg_lambda,
                 gamma=self.gamma,
                 colsample=self.colsample,
-                n_workers=self.n_tree_workers,
             )
 
         # Initialize at the log-odds of the base rate, like xgboost's
@@ -629,56 +617,52 @@ class GradientBoostingClassifier(BaseClassifier):
         # no recorded leaf.  `_margin_via_gather` exists for the
         # equivalence regression test.
         use_gather = getattr(self, "_margin_via_gather", True)
-        try:
-            for _ in range(self.n_estimators):
-                prob = stable_sigmoid(margin)
-                grad = prob - y_float
-                hess = prob * (1.0 - prob)
-                if self.subsample < 1.0:
-                    n_rows = max(2, int(round(self.subsample * n)))
-                    rows = np.sort(rng.choice(n, size=n_rows, replace=False))
-                else:
-                    rows = np.arange(n)
-                if engine is not None:
-                    tree, leaf_of = engine.build(grad, hess, rows, rng)
-                elif self.tree_method == "hist-pernode":
-                    tree, leaf_of = _HistTreeBuilder(
-                        codes=codes,
-                        split_points=split_points,
-                        max_depth=self.max_depth,
-                        min_child_weight=self.min_child_weight,
-                        reg_lambda=self.reg_lambda,
-                        gamma=self.gamma,
-                        colsample=self.colsample,
-                        rng=rng,
-                    ).build(grad, hess, rows)
-                else:
-                    tree, leaf_of = _BoostTreeBuilder(
-                        max_depth=self.max_depth,
-                        min_child_weight=self.min_child_weight,
-                        reg_lambda=self.reg_lambda,
-                        gamma=self.gamma,
-                        colsample=self.colsample,
-                        rng=rng,
-                    ).build(X_arr, grad, hess, rows)
-                if not use_gather:
-                    margin += self.learning_rate * tree.predict(X_arr)
-                elif len(rows) == n:
-                    margin += self.learning_rate * tree.leaf_weight[leaf_of]
-                else:
-                    margin[rows] += (
-                        self.learning_rate * tree.leaf_weight[leaf_of[rows]]
-                    )
-                    out = np.ones(n, dtype=bool)
-                    out[rows] = False
-                    out_rows = np.flatnonzero(out)
-                    margin[out_rows] += (
-                        self.learning_rate * tree.predict(X_arr[out_rows])
-                    )
-                self.trees_.append(tree)
-        finally:
+        for _ in range(self.n_estimators):
+            prob = stable_sigmoid(margin)
+            grad = prob - y_float
+            hess = prob * (1.0 - prob)
+            if self.subsample < 1.0:
+                n_rows = max(2, int(round(self.subsample * n)))
+                rows = np.sort(rng.choice(n, size=n_rows, replace=False))
+            else:
+                rows = np.arange(n)
             if engine is not None:
-                engine.close()
+                tree, leaf_of = engine.build(grad, hess, rows, rng)
+            elif self.tree_method == "hist-pernode":
+                tree, leaf_of = _HistTreeBuilder(
+                    codes=codes,
+                    split_points=split_points,
+                    max_depth=self.max_depth,
+                    min_child_weight=self.min_child_weight,
+                    reg_lambda=self.reg_lambda,
+                    gamma=self.gamma,
+                    colsample=self.colsample,
+                    rng=rng,
+                ).build(grad, hess, rows)
+            else:
+                tree, leaf_of = _BoostTreeBuilder(
+                    max_depth=self.max_depth,
+                    min_child_weight=self.min_child_weight,
+                    reg_lambda=self.reg_lambda,
+                    gamma=self.gamma,
+                    colsample=self.colsample,
+                    rng=rng,
+                ).build(X_arr, grad, hess, rows)
+            if not use_gather:
+                margin += self.learning_rate * tree.predict(X_arr)
+            elif len(rows) == n:
+                margin += self.learning_rate * tree.leaf_weight[leaf_of]
+            else:
+                margin[rows] += (
+                    self.learning_rate * tree.leaf_weight[leaf_of[rows]]
+                )
+                out = np.ones(n, dtype=bool)
+                out[rows] = False
+                out_rows = np.flatnonzero(out)
+                margin[out_rows] += (
+                    self.learning_rate * tree.predict(X_arr[out_rows])
+                )
+            self.trees_.append(tree)
         return self
 
     def _packed_ensemble(self):
@@ -694,25 +678,16 @@ class GradientBoostingClassifier(BaseClassifier):
             self._packed = packed
         return packed
 
-    def decision_function(
-        self,
-        X,
-        chunk_size: int | None = None,
-        n_workers: int | None = None,
-    ) -> np.ndarray:
+    def decision_function(self, X) -> np.ndarray:
         """Return the raw boosted margin (log-odds) per sample.
 
         Scoring runs through the packed-ensemble arena (all trees
         traversed simultaneously), bitwise identical to
-        :meth:`decision_function_reference`.  ``chunk_size`` bounds the
-        scoring working set and ``n_workers`` scores chunks
-        concurrently; the margins are identical for any combination.
+        :meth:`decision_function_reference`.
         """
         X_arr = check_array(X)
         self._check_n_features(X_arr)
-        return self._packed_ensemble().margins(
-            X_arr, chunk_size=chunk_size, n_workers=n_workers
-        )
+        return self._packed_ensemble().margins(X_arr)
 
     def decision_function_reference(self, X) -> np.ndarray:
         """Per-tree scoring loop, kept as the packed path's bit-identity
@@ -724,18 +699,9 @@ class GradientBoostingClassifier(BaseClassifier):
             margin += self.learning_rate * tree.predict(X_arr)
         return margin
 
-    def predict_proba(
-        self,
-        X,
-        chunk_size: int | None = None,
-        n_workers: int | None = None,
-    ) -> np.ndarray:
+    def predict_proba(self, X) -> np.ndarray:
         """Return ``(n, 2)`` class probabilities via the logistic link."""
-        prob_pos = stable_sigmoid(
-            self.decision_function(
-                X, chunk_size=chunk_size, n_workers=n_workers
-            )
-        )
+        prob_pos = stable_sigmoid(self.decision_function(X))
         return np.column_stack([1.0 - prob_pos, prob_pos])
 
     # -- importance ---------------------------------------------------------

@@ -11,19 +11,15 @@ entire level in a handful of large array operations:
 
 * **One bincount per level.**  Every node of a level that needs a
   directly-built histogram is packed into one composite code space,
-  ``slot * n_bins_block + flat_code``, and a single flat
+  ``slot * total_bins + flat_code``, and a single flat
   ``np.bincount`` per gradient/hessian produces all (node, feature,
   bin) cells at once.
 * **Sibling subtraction at level granularity.**  Exactly like the
   per-node builder, only the *smaller* child of each split is counted
   directly; its sibling's histogram is ``parent - child``, vectorized
   over all of the level's derived nodes in one subtraction.
-* **Thread-parallel feature blocks.**  With ``n_workers > 1`` the
-  selected columns are cut into contiguous blocks and each worker
-  thread bincounts its block into a disjoint slice of the level's
-  preallocated histogram buffers (reused across levels and boosting
-  rounds).  The split of columns into blocks never changes any cell's
-  addend order, so the result is identical for any worker count.
+* **Reused buffers.**  The level's histograms land in preallocated
+  buffers that are reused across levels and boosting rounds.
 * **Vectorized split search.**  The per-feature Python scan of
   ``_best_split`` becomes one cumsum + gain evaluation over the whole
   ``(n_nodes, n_features, n_bins)`` tensor and a single flat
@@ -61,8 +57,6 @@ reported.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from repro.ml.gbdt import _LEAF, _BoostTree, _sample_columns
@@ -73,13 +67,12 @@ class _TreeLayout:
 
     Mirrors ``_HistTreeBuilder._set_columns``: per-column bin counts,
     flat bin offsets, and the pre-offset ``(n_rows, n_cols)`` flat
-    codes.  ``blocks`` is the contiguous column partition used by the
-    worker threads; each block covers a contiguous flat-bin range.
+    codes.
     """
 
     __slots__ = (
         "columns", "n_bins", "offsets", "total_bins", "flat_codes",
-        "blocks", "max_bounds",
+        "max_bounds",
     )
 
     def __init__(
@@ -87,7 +80,6 @@ class _TreeLayout:
         codes: np.ndarray,
         split_points: list[np.ndarray],
         columns: np.ndarray,
-        n_blocks: int,
     ) -> None:
         self.columns = columns
         n_bins = np.array(
@@ -100,19 +92,6 @@ class _TreeLayout:
             codes[:, columns].astype(np.intp) + self.offsets[np.newaxis, :]
         )
         self.max_bounds = int((n_bins - 1).max()) if len(n_bins) else 0
-        chunks = np.array_split(
-            np.arange(len(columns)), max(1, min(n_blocks, len(columns)))
-        )
-        self.blocks = [
-            (
-                int(chunk[0]),
-                int(chunk[-1]) + 1,
-                int(self.offsets[chunk[0]]),
-                int(self.offsets[chunk[-1]] + n_bins[chunk[-1]]),
-            )
-            for chunk in chunks
-            if len(chunk)
-        ]
 
 
 class _Node:
@@ -129,8 +108,8 @@ class LevelHistEngine:
     """Grows hist-GBDT trees level-synchronously (see module docstring).
 
     One engine is built per ``fit`` and reused across boosting rounds:
-    the full-column code layout, the per-level histogram buffers and
-    the worker thread pool all persist between :meth:`build` calls.
+    the full-column code layout and the per-level histogram buffers
+    persist between :meth:`build` calls.
     """
 
     def __init__(
@@ -142,10 +121,7 @@ class LevelHistEngine:
         reg_lambda: float,
         gamma: float,
         colsample: float,
-        n_workers: int | None = None,
     ) -> None:
-        if n_workers is not None and n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.codes = codes
         self.split_points = split_points
         self.max_depth = max_depth
@@ -153,30 +129,10 @@ class LevelHistEngine:
         self.reg_lambda = reg_lambda
         self.gamma = gamma
         self.colsample = colsample
-        self.n_workers = int(n_workers) if n_workers else 1
-        self._pool = (
-            ThreadPoolExecutor(max_workers=self.n_workers)
-            if self.n_workers > 1
-            else None
-        )
         self._full_layout: _TreeLayout | None = None
         # Ping-pong (grad, hess) level buffers: one holds the parents'
         # histograms while the other fills with the children's.
         self._bufs: list[tuple[np.ndarray, np.ndarray] | None] = [None, None]
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "LevelHistEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- layout and buffers -------------------------------------------------
 
@@ -184,9 +140,7 @@ class LevelHistEngine:
         full = len(columns) == self.codes.shape[1]
         if full and self._full_layout is not None:
             return self._full_layout
-        layout = _TreeLayout(
-            self.codes, self.split_points, columns, self.n_workers
-        )
+        layout = _TreeLayout(self.codes, self.split_points, columns)
         if full:
             # colsample == 1 selects every column every round; the
             # flat-code table is then invariant across trees.
@@ -220,7 +174,8 @@ class LevelHistEngine:
         buf_h: np.ndarray,
     ) -> None:
         """Fill slots ``0..len(direct)`` of the buffers with directly
-        counted histograms, one composite bincount per feature block."""
+        counted histograms: one composite bincount per gradient/hessian
+        over every node and column of the level."""
         n_direct = len(direct)
         if n_direct == 1:
             rows_cat = direct[0].rows
@@ -230,36 +185,21 @@ class LevelHistEngine:
             np.arange(n_direct, dtype=np.intp),
             [len(nd.rows) for nd in direct],
         )
-        codes_lvl = layout.flat_codes[rows_cat]
-        g_lvl = grad[rows_cat]
-        h_lvl = hess[rows_cat]
-
-        def block_hist(block: tuple[int, int, int, int]) -> None:
-            c0, c1, lo, hi = block
-            nb = hi - lo
-            n_cols = c1 - c0
-            # Composite code: slot-major, then the block's flat bins.
-            # Row-major ravel keeps every cell's addends in ascending
-            # row order, exactly like the per-node bincount.
-            flat = (
-                codes_lvl[:, c0:c1] - lo + slot_rep[:, np.newaxis] * nb
-            ).ravel()
-            size = n_direct * nb
-            buf_g[:n_direct, lo:hi] = np.bincount(
-                flat, weights=np.repeat(g_lvl, n_cols), minlength=size
-            ).reshape(n_direct, nb)
-            buf_h[:n_direct, lo:hi] = np.bincount(
-                flat, weights=np.repeat(h_lvl, n_cols), minlength=size
-            ).reshape(n_direct, nb)
-
-        if self._pool is None or len(layout.blocks) == 1:
-            for block in layout.blocks:
-                block_hist(block)
-        else:
-            # Blocks write disjoint column ranges of the shared buffers;
-            # np.bincount and the large gathers run outside the
-            # interpreter, so blocks overlap on multi-core hosts.
-            list(self._pool.map(block_hist, layout.blocks))
+        nb = layout.total_bins
+        n_cols = len(layout.columns)
+        # Composite code: slot-major, then the flat bins.  Row-major
+        # ravel keeps every cell's addends in ascending row order,
+        # exactly like the per-node bincount.
+        flat = (
+            layout.flat_codes[rows_cat] + slot_rep[:, np.newaxis] * nb
+        ).ravel()
+        size = n_direct * nb
+        buf_g[:n_direct, :nb] = np.bincount(
+            flat, weights=np.repeat(grad[rows_cat], n_cols), minlength=size
+        ).reshape(n_direct, nb)
+        buf_h[:n_direct, :nb] = np.bincount(
+            flat, weights=np.repeat(hess[rows_cat], n_cols), minlength=size
+        ).reshape(n_direct, nb)
 
     # -- split search -------------------------------------------------------
 

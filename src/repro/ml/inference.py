@@ -31,7 +31,7 @@ Traversal is cache-blocked: ``_BLOCK_ROWS`` rows are walked at a time
 through preallocated ``(n_trees, block)`` buffers, all index buffers are
 ``np.intp`` (``np.take`` gathers are substantially faster with native
 word indices than with narrower ones), and the feature matrix is
-transposed once per chunk so the per-level value gather
+transposed once per call so the per-level value gather
 ``X.T.ravel()[feature * n + row]`` is tree-major like the node matrix.
 
 Bit-identity
@@ -40,17 +40,15 @@ The packed margin is ``np.array_equal`` to the per-tree reference, not
 merely close: both paths compare ``x <= threshold`` (packed negates to
 ``x > threshold``), gather the same float64 leaf weights, and
 accumulate ``margin += scale_t * leaf_t`` sequentially in tree order --
-binary-op for binary-op the reference loop.  Chunk boundaries are fixed
-up front from ``chunk_size`` alone, and each row's result never depends
-on its chunk, so chunked and multi-worker scoring are bitwise identical
-to the single-pass result for any worker count.
+binary-op for binary-op the reference loop.  Each row's result never
+depends on the other rows of the batch, so scoring a matrix in row
+chunks (``Detector.predict_proba(chunk_size=)``) is bitwise identical
+to scoring it whole.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.ml.model_selection import _map_ordered
 
 _LEAF = -1
 
@@ -73,10 +71,6 @@ _BLOCK_ROWS = 256
 #: accumulating 4096 rows at a time amortizes that overhead while the
 #: operands stay cache-resident.
 _ACC_BLOCKS = 16
-
-#: Default rows per chunk when ``n_workers`` is requested without an
-#: explicit ``chunk_size``.
-_DEFAULT_CHUNK = 65536
 
 
 def _tree_depth(
@@ -105,21 +99,6 @@ def _tree_depth(
             if child_depth > max_depth:
                 max_depth = child_depth
     return max_depth
-
-
-def _chunk_bounds(n: int, chunk_size: int) -> list[tuple[int, int]]:
-    """Fixed chunk boundaries; independent of worker count."""
-    return [
-        (start, min(start + chunk_size, n))
-        for start in range(0, n, chunk_size)
-    ]
-
-
-def _margins_chunk_task(task) -> np.ndarray:
-    """Score one chunk; module-level so process-pool workers can
-    import it (mirrors ``model_selection._fit_and_score``)."""
-    packed, X_chunk, x_dtype = task
-    return packed._margins_single(X_chunk, x_dtype)
 
 
 class PackedEnsemble:
@@ -389,10 +368,10 @@ class PackedEnsemble:
 
     # -- traversal ----------------------------------------------------------
 
-    def _margins_single(
+    def _traverse(
         self, X: np.ndarray, x_dtype: np.dtype | None = None
     ) -> np.ndarray:
-        """Margins for one chunk: blocked level-synchronous traversal."""
+        """Margins per row: blocked level-synchronous traversal."""
         n = X.shape[0]
         out = np.full(n, self.base_score, dtype=np.float64)
         if n == 0:
@@ -460,22 +439,12 @@ class PackedEnsemble:
         return out
 
     def margins(
-        self,
-        X: np.ndarray,
-        chunk_size: int | None = None,
-        n_workers: int | None = None,
-        x_dtype: np.dtype | None = None,
+        self, X: np.ndarray, x_dtype: np.dtype | None = None
     ) -> np.ndarray:
         """Ensemble margin per row of *X*.
 
-        ``chunk_size`` bounds the per-chunk working set (the transposed
-        copy of X and the traversal buffers); ``n_workers > 1`` scores
-        chunks concurrently via :func:`_map_ordered`.  Chunk boundaries
-        depend only on ``chunk_size`` and each row is scored
-        independently, so the result is bitwise identical for any
-        chunking and any worker count.  ``x_dtype=np.float32`` opts into
-        half-width value gathers (exact only when X round-trips through
-        float32).
+        ``x_dtype=np.float32`` opts into half-width value gathers
+        (exact only when X round-trips through float32).
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
@@ -484,25 +453,9 @@ class PackedEnsemble:
             raise ValueError(
                 f"expected {self.n_features} features, got {X.shape[1]}"
             )
-        n = X.shape[0]
         self.n_calls += 1
-        self.n_rows += n
-        if chunk_size is None and n_workers is not None and n_workers > 1:
-            chunk_size = _DEFAULT_CHUNK
-        if chunk_size is None or chunk_size >= n:
-            return self._margins_single(X, x_dtype)
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        bounds = _chunk_bounds(n, chunk_size)
-        if n_workers is not None and n_workers > 1 and len(bounds) > 1:
-            parts = _map_ordered(
-                _margins_chunk_task,
-                [(self, X[s:e], x_dtype) for s, e in bounds],
-                n_workers,
-            )
-        else:
-            parts = [self._margins_single(X[s:e], x_dtype) for s, e in bounds]
-        return np.concatenate(parts)
+        self.n_rows += X.shape[0]
+        return self._traverse(X, x_dtype)
 
     def scoring_stats(self) -> dict[str, int]:
         """Activity counters (calls / rows scored through this arena)."""

@@ -7,29 +7,25 @@ that protocol and reports the mean fraud-class precision and recall over
 folds, which are the two numbers the table prints.
 
 Folds are independent, so :func:`cross_validate` can fit them
-concurrently (``n_workers=N``).  The result is *bitwise identical* for
-any worker count: all splits are materialized up front from the one
-splitter RNG, per-fold seeds (when the factory wants them) are derived
-with ``SeedSequence.spawn`` rather than sharing a generator, and fold
-metrics are aggregated in fold order no matter which worker finished
-first.
+concurrently (``n_workers=N``) on the :mod:`repro.parallel` executor;
+the factory must pickle for the folds to reach worker processes.  The
+result is *bitwise identical* for any worker count: all splits are
+materialized up front from the one splitter RNG, per-fold seeds (when
+the factory wants them) are derived with ``SeedSequence.spawn`` rather
+than sharing a generator, and fold metrics are aggregated in fold order
+no matter which worker finished first.
 """
 
 from __future__ import annotations
 
 import inspect
-import logging
-import pickle
-from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
 from repro.ml.base import as_rng, check_X_y, spawn_seeds
 from repro.ml.metrics import precision_recall_f1
-
-_log = logging.getLogger(__name__)
+from repro.parallel import map_ordered
 
 
 class KFold:
@@ -173,54 +169,10 @@ def _fit_and_score(task) -> tuple[float, float, float]:
     return precision_recall_f1(y[test_idx], y_pred)
 
 
-#: Times ``_map_ordered`` wanted a process pool but ran threads instead
-#: (unpicklable payload or a sandbox that forbids spawning).  Surfaced
-#: so "parallel" CV silently running under the GIL is observable.
+#: Always 0, since CV runs no threads; kept for the benchmark's tracer
+#: (``perfbench/spans.py``), which reads it.  Executor fallbacks are
+#: counted in ``repro.parallel.STATS``.
 N_THREAD_FALLBACKS = 0
-
-
-def _map_ordered(fn: Callable, tasks: Sequence, n_workers: int | None) -> list:
-    """Map *fn* over *tasks*, results in task order regardless of which
-    worker finishes first (determinism does not depend on scheduling).
-
-    Worker strategy mirrors ``features.extract_many``: prefer a process
-    pool; if the payload cannot be pickled (factories are usually
-    lambdas/closures) or the sandbox forbids spawning processes, fall
-    back to a thread pool, which always works and still overlaps the
-    GIL-releasing numpy sections of each fit.  Fallbacks are counted in
-    :data:`N_THREAD_FALLBACKS` and logged rather than swallowed.
-    """
-    global N_THREAD_FALLBACKS
-    if n_workers is None or n_workers <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    max_workers = min(n_workers, len(tasks))
-    # Probe picklability on one representative task -- every task row
-    # shares the factory/arrays of the first, so pickling the whole list
-    # would cost full serialization twice for nothing.
-    try:
-        pickle.dumps((fn, tasks[0]))
-        picklable = True
-    except Exception:
-        picklable = False
-    if picklable:
-        try:
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                return list(pool.map(fn, tasks))
-        except (OSError, PermissionError, BrokenProcessPool) as exc:
-            fallback_cause: object = exc
-    else:
-        fallback_cause = "payload is not picklable"
-    N_THREAD_FALLBACKS += 1
-    _log.warning(
-        "process-pool CV unavailable (%s); running %d tasks on %d "
-        "threads instead (thread_fallbacks=%d)",
-        fallback_cause,
-        len(tasks),
-        max_workers,
-        N_THREAD_FALLBACKS,
-    )
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(fn, tasks))
 
 
 def cross_validate(
@@ -243,9 +195,10 @@ def cross_validate(
         an independent integer seed derived from *seed* via
         ``SeedSequence.spawn`` (never a generator shared across folds).
     n_workers:
-        Fit folds concurrently on up to this many workers.  Output is
-        bitwise identical for every value: splits are materialized
-        before any fit and metrics aggregate in fold order.
+        Fit folds concurrently on up to this many worker processes
+        (:func:`repro.parallel.map_ordered`).  Output is bitwise
+        identical for every value: splits are materialized before any
+        fit and metrics aggregate in fold order.
 
     Returns a dict with keys ``precision``, ``recall``, ``f1`` (fold
     means) and ``precision_std`` / ``recall_std`` / ``f1_std``.
@@ -271,7 +224,7 @@ def cross_validate(
         (model_factory, X_arr, y_arr, train_idx, test_idx, fold_seed)
         for (train_idx, test_idx), fold_seed in zip(splits, fold_seeds)
     ]
-    fold_metrics = _map_ordered(_fit_and_score, tasks, n_workers)
+    fold_metrics = map_ordered(_fit_and_score, tasks, n_workers)
     precisions = [m[0] for m in fold_metrics]
     recalls = [m[1] for m in fold_metrics]
     f1s = [m[2] for m in fold_metrics]

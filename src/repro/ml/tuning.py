@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ml.model_selection import _map_ordered, cross_validate
+from repro.ml.model_selection import cross_validate
+from repro.parallel import map_ordered
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,8 @@ def grid_search(
 
     ``model_factory(**params)`` must return a fresh unfitted classifier.
     With ``n_workers=N`` the candidate configurations are scored
-    concurrently; every candidate still uses the same integer *seed*
+    concurrently on worker processes (a factory that does not pickle
+    runs inline); every candidate still uses the same integer *seed*
     (identical folds keep the comparison fair), results are gathered in
     grid order and ties still resolve to the earliest combination, so
     the outcome is identical for any worker count.
@@ -86,7 +88,7 @@ def grid_search(
     tasks = [
         (model_factory, params, X, y, n_splits, seed) for params in candidates
     ]
-    all_scores = _map_ordered(_evaluate_candidate, tasks, n_workers)
+    all_scores = map_ordered(_evaluate_candidate, tasks, n_workers)
 
     trials: list[tuple[dict[str, object], dict[str, float]]] = []
     best_params: dict[str, object] | None = None

@@ -133,8 +133,6 @@ class DetectionService:
         checkpoint_dir: str | None = None,
         checkpoint_every: int | None = None,
         checkpoint_keep: int = 3,
-        score_chunk_size: int | None = None,
-        score_workers: int | None = None,
         shard: tuple[int, int] | None = None,
         model_info: dict[str, Any] | None = None,
         shadow: "ShadowScorer | None" = None,
@@ -190,8 +188,6 @@ class DetectionService:
                     expected_model=self.model_info,
                 )
                 self.restored_from = str(path)
-        self.score_chunk_size = score_chunk_size
-        self.score_workers = score_workers
         self._n_sales_updates = 0
         self._last_checkpoint_marker = self._progress_marker()
         self.n_checkpoints_written = 0
@@ -555,11 +551,7 @@ class DetectionService:
         if not valid:
             return
         try:
-            results = stream.force_rescore_many(
-                wanted,
-                chunk_size=self.score_chunk_size,
-                n_workers=self.score_workers,
-            )
+            results = stream.force_rescore_many(wanted)
         except BaseException as exc:  # noqa: BLE001 - fail the batch only
             for request in valid:
                 request.future.set_exception(exc)

@@ -7,19 +7,21 @@ feature matrix (``np.array_equal``), and a byte-identical interner
 snapshot -- and a worker dying mid-run fails loudly with *nothing*
 appended, never a partial store.
 
-Parity is property-tested with the in-process ``pool="inline"``
-executor, which runs the exact worker code (spec-cloned analyzer,
-cumulative local interner, shard emission) minus the process spawn --
-chunk scheduling, vocabulary growth across chunk boundaries, and the
-deterministic merge are all real.  Real process pools get a smoke test
-and the killed-worker test.
+Parity is property-tested with :func:`simulated_pool`, an in-process
+stand-in for the executor's process pool that runs the exact worker
+code (initializer-cloned analyzer, cumulative local interner, shard
+emission) minus the process spawn -- chunk scheduling, vocabulary
+growth across chunk boundaries, and the deterministic merge are all
+real.  Real process pools get a smoke test and the killed-worker test.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from repro.core.columnar import (
 )
 from repro.core.features import FeatureExtractor
 from repro.core.interning import TokenInterner, merge_interners, remap_ids
+from repro import parallel
 from repro.core import parallel_analysis
 from repro.core.parallel_analysis import (
     ENGINE_STATS,
@@ -65,6 +68,41 @@ class Rec:
     item_id: int
     comment_id: int
     content: str
+
+
+class SimulatedPool:
+    """In-process ``ProcessPoolExecutor`` stand-in: one initializer-built
+    state per simulated worker, tasks dealt round-robin, so one worker
+    sees several chunks exactly like a real pool worker would."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.states = []
+        for _ in range(max_workers):
+            initializer(*initargs)
+            self.states.append(parallel.worker_state())
+        parallel._STATE = None
+
+    def map(self, fn, tasks):
+        results = []
+        for i, task in enumerate(tasks):
+            parallel._STATE = self.states[i % len(self.states)]
+            results.append(fn(task))
+        parallel._STATE = None
+        return iter(results)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+
+@contextlib.contextmanager
+def simulated_pool():
+    """Run the executor's pool in-process, any worker count honoured."""
+    with mock.patch.object(parallel, "ProcessPoolExecutor", SimulatedPool):
+        with mock.patch.object(parallel, "usable_cpus", lambda: 64):
+            yield
 
 
 @pytest.fixture(scope="module")
@@ -200,14 +238,14 @@ class TestInlineParity:
 
         _, _, expected = serial_store(spec, records)
         _, extractor, store = fresh(spec)
-        appended = analyze_many(
-            store,
-            extractor,
-            records,
-            n_workers=n_workers,
-            chunk_size=chunk_size,
-            pool="inline",
-        )
+        with simulated_pool():
+            appended = analyze_many(
+                store,
+                extractor,
+                records,
+                n_workers=n_workers,
+                chunk_size=chunk_size,
+            )
         assert appended == len(records)
         assert_stores_identical(expected, store)
 
@@ -222,10 +260,10 @@ class TestInlineParity:
         records = make_records(texts, comments_per_item=2)
         _, _, expected = serial_store(spec, records)
         _, extractor, store = fresh(spec)
-        analyze_many(
-            store, extractor, records,
-            n_workers=3, chunk_size=2, pool="inline",
-        )
+        with simulated_pool():
+            analyze_many(
+                store, extractor, records, n_workers=3, chunk_size=2
+            )
         assert_stores_identical(expected, store)
 
     def test_feature_matrix_and_item_coverage(self, spec, words):
@@ -234,10 +272,10 @@ class TestInlineParity:
         item_ids = sorted({r.item_id for r in records})
         _, _, expected = serial_store(spec, records)
         _, extractor, store = fresh(spec)
-        analyze_many(
-            store, extractor, records,
-            n_workers=7, chunk_size=5, pool="inline",
-        )
+        with simulated_pool():
+            analyze_many(
+                store, extractor, records, n_workers=7, chunk_size=5
+            )
         assert np.array_equal(
             expected.feature_matrix(item_ids),
             store.feature_matrix(item_ids),
@@ -262,10 +300,10 @@ class TestCounterMerge:
         records = make_records(texts)
         clone, extractor, store = fresh(spec)
         assert clone.n_segmentations == 0
-        analyze_many(
-            store, extractor, records,
-            n_workers=3, chunk_size=4, pool="inline",
-        )
+        with simulated_pool():
+            analyze_many(
+                store, extractor, records, n_workers=3, chunk_size=4
+            )
         # Every distinct text was segmented somewhere on the parent's
         # behalf; the merged counter reports that work.
         assert clone.n_segmentations >= len(set(texts))
@@ -276,10 +314,10 @@ class TestCounterMerge:
         texts = [words[0] + words[1]] * 20
         records = make_records(texts)
         _, extractor, store = fresh(spec)
-        analyze_many(
-            store, extractor, records,
-            n_workers=2, chunk_size=5, pool="inline",
-        )
+        with simulated_pool():
+            analyze_many(
+                store, extractor, records, n_workers=2, chunk_size=5
+            )
         info = extractor.cache_info()
         # Worker-local hits and misses land in the parent's gauges.
         assert info.misses > 0
@@ -301,20 +339,18 @@ class TestStatsMany:
         _, serial_extractor, _ = fresh(spec)
         serial = serial_extractor.comment_stats_many(texts)
         _, extractor, _ = fresh(spec)
-        parallel = analyze_stats_many(
-            extractor, texts, n_workers=3, pool="inline"
-        )
-        assert parallel is not None
-        assert len(parallel) == len(serial)
-        for left, right in zip(serial, parallel):
+        with simulated_pool():
+            rebuilt = analyze_stats_many(extractor, texts, n_workers=3)
+        assert len(rebuilt) == len(serial)
+        for left, right in zip(serial, rebuilt):
             assert left == right
             assert np.array_equal(left.token_ids, right.token_ids)
         # Duplicates share one rebuilt object, and the parent cache now
         # serves them without re-analysis.
-        assert parallel[0] is parallel[4]
+        assert rebuilt[0] is rebuilt[4]
         hits_before = extractor.cache_info().hits
         again = extractor.comment_stats_many(texts)
-        assert again[0] is parallel[0]
+        assert again[0] is rebuilt[0]
         assert extractor.cache_info().hits > hits_before
 
     def test_interner_grows_identically(self, spec, oov):
@@ -322,10 +358,8 @@ class TestStatsMany:
         clone_serial, serial_extractor, _ = fresh(spec)
         serial_extractor.comment_stats_many(texts)
         clone_parallel, extractor, _ = fresh(spec)
-        result = analyze_stats_many(
-            extractor, texts, n_workers=3, pool="inline"
-        )
-        assert result is not None
+        with simulated_pool():
+            analyze_stats_many(extractor, texts, n_workers=3)
         assert (
             clone_serial.interner.export_state()["words"]
             == clone_parallel.interner.export_state()["words"]
@@ -333,27 +367,29 @@ class TestStatsMany:
 
 
 class TestProcessPool:
-    def test_real_pool_matches_serial(self, spec, words, oov):
+    def test_real_pool_matches_serial(self, spec, words, oov, cpus):
+        cpus(2)
         texts = [words[i % len(words)] + (oov if i % 7 == 0 else "")
                  for i in range(30)]
         records = make_records(texts)
         _, _, expected = serial_store(spec, records)
         _, extractor, store = fresh(spec)
         runs_before = ENGINE_STATS["parallel_runs"]
-        analyze_many(
-            store, extractor, records,
-            n_workers=2, chunk_size=7, pool="process",
-        )
+        analyze_many(store, extractor, records, n_workers=2, chunk_size=7)
         assert_stores_identical(expected, store)
         assert ENGINE_STATS["parallel_runs"] == runs_before + 1
 
     def test_killed_worker_fails_loudly_with_empty_store(
-        self, spec, words, monkeypatch
+        self, spec, words, monkeypatch, cpus
     ):
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("fork start method required to inject the kill")
+        cpus(2)
+        parent = os.getpid()
 
         def die(state, texts):
+            if os.getpid() == parent:
+                raise AssertionError("ran inline; the kill needs a pool")
             os._exit(13)
 
         # Fork inherits the patched module, so every worker dies on its
@@ -365,22 +401,20 @@ class TestProcessPool:
         _, extractor, store = fresh(spec)
         with pytest.raises(ParallelAnalysisError, match="died mid-run"):
             analyze_many(
-                store, extractor, records,
-                n_workers=2, chunk_size=3, pool="process",
+                store, extractor, records, n_workers=2, chunk_size=3
             )
         # Nothing was committed: no partial store.
         assert store.n_comments == 0
         assert store.n_tokens == 0
 
     def test_spawn_denied_falls_back_to_serial(
-        self, spec, words, monkeypatch
+        self, spec, words, monkeypatch, cpus
     ):
         def deny(*args, **kwargs):
             raise PermissionError("no processes in this sandbox")
 
-        monkeypatch.setattr(
-            parallel_analysis, "ProcessPoolExecutor", deny
-        )
+        cpus(4)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", deny)
         records = make_records([words[0], words[1]] * 3)
         _, _, expected = serial_store(spec, records)
         _, extractor, store = fresh(spec)
@@ -391,6 +425,8 @@ class TestProcessPool:
         assert appended == len(records)
         assert ENGINE_STATS["serial_fallbacks"] == fallbacks_before + 1
         assert_stores_identical(expected, store)
+        # The inline run dropped its analyzer clone afterwards.
+        assert parallel.worker_state() is None
 
 
 class TestAppendArrays:

@@ -208,6 +208,27 @@ class TestArchiveIdentity:
         loaded = load_cats(legacy)
         assert loaded.archive_info["content_hash"] is None
 
+    def test_retired_tree_workers_key_ignored(
+        self, archive, trained_cats, d0_small, tmp_path
+    ):
+        """Archives and registry versions written while the GBDT engine
+        had tree threads carry ``tree_workers`` in their detector
+        config; they still load, with the same detector."""
+        import shutil
+
+        old = tmp_path / "old"
+        shutil.copytree(archive, old)
+        manifest = json.loads((old / "manifest.json").read_text())
+        manifest["config"]["detector"]["tree_workers"] = None
+        (old / "manifest.json").write_text(json.dumps(manifest))
+        loaded = load_cats(old)
+        assert loaded.config == trained_cats.config
+        X = trained_cats.extract_features(d0_small.items[:40])
+        np.testing.assert_array_equal(
+            loaded.detector.predict_proba(X),
+            trained_cats.detector.predict_proba(X),
+        )
+
     def test_analyzer_hash_stable_across_detector_retrain(
         self, archive, analyzer, small_config, d0_small, tmp_path
     ):

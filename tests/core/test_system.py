@@ -73,3 +73,32 @@ class TestDetect:
         cats.fit(d0_small.items[:200], d0_small.labels[:200])
         report = cats.detect(d0_small.items[:20])
         assert report.is_fraud.shape == (20,)
+
+
+class TestCrossValidateDetector:
+    def test_classifier_factories_pickle(self):
+        import pickle
+        from functools import partial
+
+        from repro.core.detector import CLASSIFIER_FACTORIES
+
+        for name, factory in CLASSIFIER_FACTORIES.items():
+            bound = pickle.loads(pickle.dumps(partial(factory, 3)))
+            assert type(bound()) is type(factory(3)), name
+
+    def test_workers_reach_processes_and_match_serial(
+        self, trained_cats, d0_small, cpus
+    ):
+        from repro import parallel
+
+        cpus(2)  # on any host, the folds take the pool
+        features = trained_cats.extract_features(d0_small.items)
+        serial = trained_cats.cross_validate_detector(
+            features, d0_small.labels, n_splits=3
+        )
+        before = parallel.STATS["fallbacks"]
+        parallel_cv = trained_cats.cross_validate_detector(
+            features, d0_small.labels, n_splits=3, n_workers=2
+        )
+        assert parallel.STATS["fallbacks"] == before
+        assert parallel_cv == serial

@@ -3,14 +3,13 @@
 ``tree_method="hist"`` now grows trees with
 :class:`repro.ml.hist_engine.LevelHistEngine`; ``"hist-pernode"`` keeps
 the original recursive :class:`~repro.ml.gbdt._HistTreeBuilder` as the
-reference.  These tests pin the contract the engine is built on: for
-*any* ``n_tree_workers`` the engine must produce byte-identical trees
-(node arrays, split points, leaf weights), identical recorded leaf
-assignments, and ``np.array_equal`` margins.
+reference.  These tests pin the contract the engine is built on: the
+engine must produce byte-identical trees (node arrays, split points,
+leaf weights), identical recorded leaf assignments, and
+``np.array_equal`` margins.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,13 +39,13 @@ def _assert_trees_byte_identical(a, b):
             np.testing.assert_array_equal(xa, xb, err_msg=field)
 
 
-def _assert_engine_matches_pernode(X, y, n_tree_workers, **params):
+def _assert_engine_matches_pernode(X, y, **params):
     reference = GradientBoostingClassifier(
         tree_method="hist-pernode", **params
     ).fit(X, y)
-    engine = GradientBoostingClassifier(
-        tree_method="hist", n_tree_workers=n_tree_workers, **params
-    ).fit(X, y)
+    engine = GradientBoostingClassifier(tree_method="hist", **params).fit(
+        X, y
+    )
     _assert_trees_byte_identical(reference, engine)
     assert np.array_equal(
         reference.decision_function_reference(X),
@@ -61,15 +60,14 @@ class TestEngineMatchesPerNode:
         n=st.integers(20, 120),
         f=st.integers(1, 5),
         seed=st.integers(0, 1000),
-        workers=st.sampled_from([1, 2, 3, 7]),
         colsample=st.sampled_from([1.0, 0.6, 0.3]),
         subsample=st.sampled_from([1.0, 0.7]),
     )
     def test_byte_identical_on_continuous_data(
-        self, n, f, seed, workers, colsample, subsample
+        self, n, f, seed, colsample, subsample
     ):
-        """Continuous features, every worker count: trees, margins and
-        dtypes all byte-identical to the per-node builder."""
+        """Continuous features: trees, margins and dtypes all
+        byte-identical to the per-node builder."""
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, f))
         y = (X[:, 0] + 0.5 * rng.normal(size=n) > 0).astype(int)
@@ -78,7 +76,6 @@ class TestEngineMatchesPerNode:
         _assert_engine_matches_pernode(
             X,
             y,
-            n_tree_workers=workers,
             n_estimators=4,
             max_depth=4,
             colsample=colsample,
@@ -92,11 +89,8 @@ class TestEngineMatchesPerNode:
         f=st.integers(1, 4),
         levels=st.integers(2, 10),
         seed=st.integers(0, 1000),
-        workers=st.sampled_from([1, 2, 3, 7]),
     )
-    def test_byte_identical_on_integer_grids(
-        self, n, f, levels, seed, workers
-    ):
+    def test_byte_identical_on_integer_grids(self, n, f, levels, seed):
         """Integer grids (heavy bin ties, the regime where the exact
         method is also comparable) stay byte-identical too."""
         rng = np.random.default_rng(seed)
@@ -107,7 +101,6 @@ class TestEngineMatchesPerNode:
         _assert_engine_matches_pernode(
             X,
             y,
-            n_tree_workers=workers,
             n_estimators=5,
             max_depth=3,
             seed=seed,
@@ -117,34 +110,17 @@ class TestEngineMatchesPerNode:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(200, 6))
         y = (X[:, 0] + X[:, 1] > 0).astype(int)
-        for workers in (1, 2, 3, 7):
-            _assert_engine_matches_pernode(
-                X,
-                y,
-                n_tree_workers=workers,
-                n_estimators=6,
-                max_depth=5,
-                reg_lambda=2.0,
-                gamma=0.3,
-                min_child_weight=0.5,
-                n_bins=16,
-                seed=7,
-            )
-
-    def test_worker_counts_identical_to_each_other(self):
-        """All worker counts give the same model, not just the same as
-        the reference: the column-block partition never changes sums."""
-        rng = np.random.default_rng(11)
-        X = rng.normal(size=(150, 9))
-        y = (X[:, 2] > 0).astype(int)
-        fits = [
-            GradientBoostingClassifier(
-                n_estimators=4, max_depth=4, n_tree_workers=w, seed=0
-            ).fit(X, y)
-            for w in (None, 1, 2, 3, 7)
-        ]
-        for other in fits[1:]:
-            _assert_trees_byte_identical(fits[0], other)
+        _assert_engine_matches_pernode(
+            X,
+            y,
+            n_estimators=6,
+            max_depth=5,
+            reg_lambda=2.0,
+            gamma=0.3,
+            min_child_weight=0.5,
+            n_bins=16,
+            seed=7,
+        )
 
 
 class TestEngineMatchesExactOnGrids:
@@ -154,11 +130,8 @@ class TestEngineMatchesExactOnGrids:
         f=st.integers(1, 4),
         levels=st.integers(2, 8),
         seed=st.integers(0, 1000),
-        workers=st.sampled_from([1, 3]),
     )
-    def test_engine_equals_exact_predictions(
-        self, n, f, levels, seed, workers
-    ):
+    def test_engine_equals_exact_predictions(self, n, f, levels, seed):
         """With n_bins >= n_distinct the engine partitions rows exactly
         like the exact greedy method (same contract the per-node hist
         path already honored)."""
@@ -171,9 +144,9 @@ class TestEngineMatchesExactOnGrids:
         exact = GradientBoostingClassifier(
             tree_method="exact", **params
         ).fit(X, y)
-        engine = GradientBoostingClassifier(
-            tree_method="hist", n_tree_workers=workers, **params
-        ).fit(X, y)
+        engine = GradientBoostingClassifier(tree_method="hist", **params).fit(
+            X, y
+        )
         np.testing.assert_array_equal(exact.predict(X), engine.predict(X))
         np.testing.assert_allclose(
             exact.predict_proba(X), engine.predict_proba(X), rtol=0, atol=1e-9
@@ -187,7 +160,7 @@ class TestDegenerateTrees:
         X = np.full((40, 3), 2.5)
         y = np.array([0, 1] * 20)
         ref, eng = _assert_engine_matches_pernode(
-            X, y, n_tree_workers=2, n_estimators=3, seed=0
+            X, y, n_estimators=3, seed=0
         )
         for tree in eng.trees_:
             assert len(tree.feature) == 1
@@ -198,7 +171,7 @@ class TestDegenerateTrees:
         X = rng.normal(size=(60, 3))
         y = (X[:, 0] > 0).astype(int)
         ref, eng = _assert_engine_matches_pernode(
-            X, y, n_tree_workers=3, n_estimators=2, gamma=1e9, seed=1
+            X, y, n_estimators=2, gamma=1e9, seed=1
         )
         assert all(len(t.feature) == 1 for t in eng.trees_)
 
@@ -207,18 +180,7 @@ class TestDegenerateTrees:
         X = rng.normal(size=(50, 2))
         y = (X[:, 0] > 0).astype(int)
         _assert_engine_matches_pernode(
-            X, y, n_tree_workers=2, n_estimators=2,
-            min_child_weight=1e6, seed=2,
-        )
-
-    def test_more_workers_than_features(self):
-        """Worker count far above the column count: blocks degenerate to
-        one column each and the result is unchanged."""
-        rng = np.random.default_rng(2)
-        X = rng.normal(size=(80, 2))
-        y = (X[:, 0] > 0).astype(int)
-        _assert_engine_matches_pernode(
-            X, y, n_tree_workers=7, n_estimators=3, seed=3
+            X, y, n_estimators=2, min_child_weight=1e6, seed=2
         )
 
 
@@ -251,12 +213,12 @@ class TestEngineDirect:
             rng=np.random.default_rng(9),
             **params,
         ).build(grad, hess, rows)
-        with LevelHistEngine(
-            codes=codes, split_points=split_points, n_workers=2, **params
-        ) as engine:
-            eng_tree, eng_leaf = engine.build(
-                grad, hess, rows, np.random.default_rng(9)
-            )
+        engine = LevelHistEngine(
+            codes=codes, split_points=split_points, **params
+        )
+        eng_tree, eng_leaf = engine.build(
+            grad, hess, rows, np.random.default_rng(9)
+        )
         for field in _TREE_FIELDS:
             a = getattr(ref_tree, field)
             b = getattr(eng_tree, field)
@@ -278,48 +240,16 @@ class TestEngineDirect:
         )
         rows = np.arange(300)
         engine = LevelHistEngine(
-            codes=codes, split_points=split_points, n_workers=1, **params
+            codes=codes, split_points=split_points, **params
         )
         first, _ = engine.build(grad, hess, rows, np.random.default_rng(0))
         # Different gradients in between -> different buffer contents.
         engine.build(grad * -2.0, hess, rows, np.random.default_rng(1))
         again, _ = engine.build(grad, hess, rows, np.random.default_rng(0))
-        engine.close()
         for field in _TREE_FIELDS:
             np.testing.assert_array_equal(
                 getattr(first, field), getattr(again, field), err_msg=field
             )
-
-    def test_rejects_bad_worker_count(self):
-        codes, split_points, _, _ = self._fixture()
-        with pytest.raises(ValueError):
-            LevelHistEngine(
-                codes=codes,
-                split_points=split_points,
-                max_depth=3,
-                min_child_weight=1.0,
-                reg_lambda=1.0,
-                gamma=0.0,
-                colsample=1.0,
-                n_workers=0,
-            )
-        with pytest.raises(ValueError):
-            GradientBoostingClassifier(n_tree_workers=0)
-
-    def test_close_is_idempotent(self):
-        codes, split_points, _, _ = self._fixture()
-        engine = LevelHistEngine(
-            codes=codes,
-            split_points=split_points,
-            max_depth=3,
-            min_child_weight=1.0,
-            reg_lambda=1.0,
-            gamma=0.0,
-            colsample=1.0,
-            n_workers=2,
-        )
-        engine.close()
-        engine.close()
 
 
 class TestMethodRegistry:
@@ -327,23 +257,4 @@ class TestMethodRegistry:
         assert (
             GradientBoostingClassifier(tree_method="hist-pernode").tree_method
             == "hist-pernode"
-        )
-
-    def test_detector_config_threads_workers_through(self):
-        """DetectorConfig.tree_workers reaches the GBDT model."""
-        from repro.core.config import CATSConfig, DetectorConfig
-        from repro.core.detector import Detector
-
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(60, 11))
-        y = (X[:, 0] > 0).astype(int)
-        config = CATSConfig(detector=DetectorConfig(tree_workers=2))
-        detector = Detector(config.detector, config.rules).fit(X, y)
-        assert detector.model.n_tree_workers == 2
-        baseline = Detector(
-            CATSConfig().detector, CATSConfig().rules
-        ).fit(X, y)
-        np.testing.assert_array_equal(
-            detector.model.decision_function_reference(X),
-            baseline.model.decision_function_reference(X),
         )

@@ -1,14 +1,14 @@
-"""Parallel cross-validation and tuning: bitwise identity across workers."""
+"""Parallel cross-validation and tuning: bitwise identity across workers.
+
+The executor itself (ordering, clamping, fallbacks) is tested in
+``tests/test_parallel.py``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.ml import GaussianNB, GradientBoostingClassifier, spawn_seeds
-from repro.ml.model_selection import (
-    _accepts_fold_seed,
-    _map_ordered,
-    cross_validate,
-)
+from repro.ml.model_selection import _accepts_fold_seed, cross_validate
 from repro.ml.tuning import grid_search
 
 
@@ -34,87 +34,6 @@ class TestSpawnSeeds:
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
             spawn_seeds(0, -1)
-
-
-class TestMapOrdered:
-    def test_results_in_task_order(self):
-        tasks = list(range(20))
-        assert _map_ordered(lambda t: t * t, tasks, n_workers=4) == [
-            t * t for t in tasks
-        ]
-
-    def test_serial_when_workers_none(self):
-        assert _map_ordered(lambda t: t + 1, [1, 2], None) == [2, 3]
-
-    def test_probe_pickles_one_task_not_the_list(self, monkeypatch):
-        import pickle as pickle_module
-
-        from repro.ml import model_selection
-
-        probed = []
-        real_dumps = pickle_module.dumps
-
-        def spy(obj, *args, **kwargs):
-            probed.append(obj)
-            return real_dumps(obj, *args, **kwargs)
-
-        monkeypatch.setattr(model_selection.pickle, "dumps", spy)
-        tasks = list(range(50))
-        _map_ordered(lambda t: t, tasks, n_workers=2)
-        # The picklability probe must serialize (fn, first task), never
-        # the whole task list (large batches would pay serialization
-        # twice).
-        assert probed, "probe never ran"
-        fn, task = probed[0]
-        assert task == tasks[0]
-        assert not any(
-            isinstance(obj, (list, tuple)) and len(obj) == len(tasks)
-            for entry in probed
-            for obj in (entry if isinstance(entry, tuple) else (entry,))
-        )
-
-    def test_one_worker_never_builds_a_pool(self, monkeypatch, data):
-        """n_workers=1 must run inline: no process/thread pool, no
-        pickle probe -- spawn+serialization overhead for nothing (the
-        checked-in 1-CPU BENCH_training artifact showed 'parallel' CV
-        slower than serial purely from that overhead)."""
-        from repro.ml import model_selection
-
-        def boom(*args, **kwargs):
-            raise AssertionError("pool built for n_workers=1")
-
-        monkeypatch.setattr(model_selection, "ProcessPoolExecutor", boom)
-        monkeypatch.setattr(model_selection, "ThreadPoolExecutor", boom)
-        monkeypatch.setattr(model_selection.pickle, "dumps", boom)
-        assert _map_ordered(lambda t: t * 2, [1, 2, 3], n_workers=1) == [
-            2,
-            4,
-            6,
-        ]
-        X, y = data
-        cross_validate(GaussianNB, X, y, n_splits=3, n_workers=1)
-        grid_search(
-            lambda **kw: GaussianNB(),
-            {"var_smoothing": [1e-9]},
-            X,
-            y,
-            n_splits=3,
-            n_workers=1,
-        )
-
-    def test_thread_fallback_is_counted(self):
-        from repro.ml import model_selection
-
-        class Unpicklable:
-            def __reduce__(self):
-                raise TypeError("not picklable")
-
-        before = model_selection.N_THREAD_FALLBACKS
-        result = _map_ordered(
-            lambda t: 1, [Unpicklable(), Unpicklable()], n_workers=2
-        )
-        assert result == [1, 1]
-        assert model_selection.N_THREAD_FALLBACKS == before + 1
 
 
 class TestParallelCrossValidate:

@@ -85,9 +85,11 @@ class TestCoalescing:
 
 class TestBackpressure:
     def test_queue_full_rejects_immediately(self):
+        entered = threading.Event()
         release = threading.Event()
 
         def blocking(batch):
+            entered.set()
             release.wait(5)
             for request in batch:
                 request.future.set_result(None)
@@ -97,7 +99,10 @@ class TestBackpressure:
         )
         batcher.start()
         futures = [batcher.submit("x", 0)]
-        # Scheduler is now blocked; fill the queue behind it.
+        # Wait until the scheduler has taken the first request and is
+        # blocked in the processor; only then does filling the queue
+        # behind it leave no pop that could free a slot.
+        assert entered.wait(5)
         deadline = time.monotonic() + 5
         while batcher.stats()["queue_depth"] < 2:
             futures.append(batcher.submit("x", len(futures)))

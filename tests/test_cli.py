@@ -25,13 +25,7 @@ class TestParser:
             ["train", "/tmp/m", "--scale", "0.01"]
         )
         assert args.scale == 0.01
-        assert args.tree_workers is None
-
-    def test_train_tree_workers(self):
-        args = build_parser().parse_args(
-            ["train", "/tmp/m", "--tree-workers", "4"]
-        )
-        assert args.tree_workers == 4
+        assert args.cv_workers is None
 
     def test_unknown_platform_rejected(self):
         with pytest.raises(SystemExit):
@@ -128,6 +122,7 @@ class TestAnalyzeCommand:
     ):
         import numpy as np
 
+        from repro import parallel
         from repro.core.columnar import ColumnarCommentStore
 
         crawl_dir = tmp_path / "crawl"
@@ -148,7 +143,10 @@ class TestAnalyzeCommand:
         )
         assert rc == 0
         out = capsys.readouterr().out.strip().splitlines()
-        assert json.loads(out[-1])["workers"] == 2
+        summary = json.loads(out[-1])
+        # The summary reports what ran: 2 chunks on at most 2 CPUs.
+        assert summary["workers"] == min(2, parallel.usable_cpus())
+        assert summary["fallbacks"] == 0
         serial = ColumnarCommentStore.load(serial_dir)
         parallel = ColumnarCommentStore.load(parallel_dir)
         assert np.array_equal(
