@@ -46,11 +46,13 @@ here it targets the platform simulator, selected by ``--platform``.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import signal
 import sys
 import threading
+import time
 from pathlib import Path
 
 from repro.core.persistence import load_cats, save_cats
@@ -414,6 +416,29 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stop_signal(message: str):
+    """Handle SIGINT/SIGTERM; the returned wait blocks until one arrives.
+
+    Install it before the server can answer, or a stop signal sent then
+    kills the process undrained.  The handler runs on the main thread
+    wherever it is, so it only records the signal.  The wait polls: a
+    signal delivered to another thread does not wake a blocked main thread.
+    """
+    received: list[int] = []
+
+    def _shutdown(signum, frame) -> None:
+        print(message, file=sys.stderr)
+        received.append(signum)
+
+    def wait() -> None:
+        while not received:
+            time.sleep(0.1)
+
+    signal.signal(signal.SIGINT, _shutdown)
+    signal.signal(signal.SIGTERM, _shutdown)
+    return wait
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.mlops import (
         DriftMonitor,
@@ -422,7 +447,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         TrafficRecorder,
     )
     from repro.serving import DetectionService, make_server
+    from repro.serving.batching import DEFAULT_MAX_DELAY
 
+    if args.max_delay_ms is None:
+        args.max_delay_ms = DEFAULT_MAX_DELAY * 1000.0
     if args.shards > 1:
         return _cmd_serve_cluster(args)
     shard = None
@@ -545,17 +573,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
 
-    def _shutdown(signum, frame) -> None:
-        print("shutting down: draining queue ...", file=sys.stderr)
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGINT, _shutdown)
-    signal.signal(signal.SIGTERM, _shutdown)
+    # Model and restored state live as long as the process: keep them out
+    # of every later full collection (~60-110 ms over 20k records).
+    gc.freeze()
+    wait_for_stop = _stop_signal("shutting down: draining queue ...")
+    threading.Thread(target=server.serve_forever, daemon=True).start()
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
+        wait_for_stop()
     finally:
+        server.shutdown()
         server.server_close()
         service.stop(drain=True)
     print("service stopped", file=sys.stderr)
@@ -608,6 +634,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
     print(
         f"starting {args.shards} shard workers ...", file=sys.stderr
     )
+    wait_for_stop = _stop_signal("shutting down cluster ...")
     cluster.start()
     print(
         json.dumps(
@@ -628,16 +655,8 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
 
-    stop_event = threading.Event()
-
-    def _shutdown(signum, frame) -> None:
-        print("shutting down cluster ...", file=sys.stderr)
-        stop_event.set()
-
-    signal.signal(signal.SIGINT, _shutdown)
-    signal.signal(signal.SIGTERM, _shutdown)
     try:
-        stop_event.wait()
+        wait_for_stop()
     finally:
         cluster.stop()
     print("cluster stopped", file=sys.stderr)
@@ -880,8 +899,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="flush a micro-batch at this many requests",
     )
     serve.add_argument(
-        "--max-delay-ms", type=float, default=25.0,
-        help="flush a micro-batch after this many milliseconds",
+        "--max-delay-ms", type=float, default=None,
+        help="hold each micro-batch open this many ms (default: no hold)",
     )
     serve.add_argument(
         "--queue-depth", type=int, default=512,

@@ -14,8 +14,8 @@ A batch is flushed when either
 
 * it reaches ``max_batch`` requests, or
 * ``max_delay`` seconds passed since its *oldest* request was enqueued
-  (``max_delay=0`` flushes as soon as the scheduler sees work, which
-  degenerates to one-request-at-a-time under a single client).
+  (default 0, natural batching: the scheduler takes whatever queued
+  while it was busy, so a lone request never waits for company).
 
 Backpressure
 ------------
@@ -56,6 +56,9 @@ from typing import Any
 
 #: Per-batch latency samples kept for percentile stats.
 _LATENCY_WINDOW = 4096
+
+#: Default flush window in seconds: no hold (natural batching).
+DEFAULT_MAX_DELAY = 0.0
 
 
 class QueueFullError(RuntimeError):
@@ -101,7 +104,7 @@ class MicroBatcher:
         self,
         process_batch: Callable[[list[Request]], None],
         max_batch: int = 32,
-        max_delay: float = 0.05,
+        max_delay: float = DEFAULT_MAX_DELAY,
         queue_depth: int = 256,
     ) -> None:
         if max_batch < 1:

@@ -50,16 +50,16 @@ import subprocess
 import sys
 import threading
 from collections import deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
 
 from repro.core.streaming import shard_of
 from repro.serving.httpd import (
     RESPONSE_TIMEOUT_S,
-    parse_comment_row,
-    parse_item_ids,
-    parse_sales_row,
+    JSONRequestHandler,
+    parse_ingest_body,
+    parse_score_body,
 )
 from repro.serving.telemetry import TelemetryRegistry
 
@@ -333,38 +333,10 @@ class ClusterHTTPServer(ThreadingHTTPServer):
         return len(self.workers)
 
 
-class ClusterRequestHandler(BaseHTTPRequestHandler):
+class ClusterRequestHandler(JSONRequestHandler):
     server_version = "repro-cluster-router/1"
-    protocol_version = "HTTP/1.1"
+    telemetry_prefix = "router"
     server: ClusterHTTPServer
-
-    # -- plumbing ------------------------------------------------------------
-
-    def log_message(self, format: str, *args: Any) -> None:
-        if self.server.verbose:
-            super().log_message(format, *args)
-
-    def _send_json(
-        self,
-        status: int,
-        payload: dict[str, Any],
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        self.server.telemetry.inc(f"router_responses_{status // 100}xx")
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json_body(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0))
-        if length <= 0:
-            raise ValueError("empty request body")
-        return json.loads(self.rfile.read(length).decode("utf-8"))
 
     def _fan_out(
         self, method: str, path: str, per_shard: dict[int, Any]
@@ -541,17 +513,7 @@ class ClusterRequestHandler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": str(exc)})
 
     def _handle_ingest(self, body: Any) -> None:
-        if not isinstance(body, dict):
-            raise ValueError("body must be a JSON object")
-        rows = body.get("comments", [])
-        if not isinstance(rows, list):
-            raise ValueError('"comments" must be a list')
-        comments = [parse_comment_row(row) for row in rows]
-        sales_rows = body.get("sales", [])
-        if not isinstance(sales_rows, list):
-            raise ValueError('"sales" must be a list of [item_id, volume]')
-        sales = [parse_sales_row(row) for row in sales_rows]
-
+        comments, sales = parse_ingest_body(body)
         n = self.server.n_shards
         per_shard: dict[int, dict[str, list]] = {}
         for record in comments:
@@ -612,9 +574,7 @@ class ClusterRequestHandler(BaseHTTPRequestHandler):
         self._send_json(200, merged)
 
     def _handle_score(self, body: Any) -> None:
-        if not isinstance(body, dict) or "item_ids" not in body:
-            raise ValueError('body must be {"item_ids": [...]}')
-        item_ids = parse_item_ids(body["item_ids"])
+        item_ids = parse_score_body(body)
         n = self.server.n_shards
         per_shard: dict[int, dict[str, list[int]]] = {}
         for item_id in item_ids:

@@ -104,8 +104,27 @@ def parse_sales_row(row: Any) -> tuple[int, int]:
         ) from exc
 
 
-def parse_item_ids(value: Any) -> list[int]:
-    """Validate a ``/score`` item-id list (coercing ids to int)."""
+def parse_ingest_body(
+    body: Any,
+) -> tuple[list[CommentRecord], list[tuple[int, int]]]:
+    """Validate a whole ``/ingest`` body into (comments, sales)."""
+    if not isinstance(body, dict):
+        raise ValueError("body must be a JSON object")
+    rows = body.get("comments", [])
+    if not isinstance(rows, list):
+        raise ValueError('"comments" must be a list')
+    comments = [parse_comment_row(row) for row in rows]
+    sales_rows = body.get("sales", [])
+    if not isinstance(sales_rows, list):
+        raise ValueError('"sales" must be a list of [item_id, volume]')
+    return comments, [parse_sales_row(row) for row in sales_rows]
+
+
+def parse_score_body(body: Any) -> list[int]:
+    """Validate a ``/score`` body (coercing its item ids to int)."""
+    if not isinstance(body, dict) or "item_ids" not in body:
+        raise ValueError('body must be {"item_ids": [...]}')
+    value = body["item_ids"]
     if not isinstance(value, list):
         raise ValueError(f'"item_ids" must be a list, got {value!r}')
     try:
@@ -131,12 +150,12 @@ class DetectionHTTPServer(ThreadingHTTPServer):
         self.telemetry = TelemetryRegistry()
 
 
-class DetectionRequestHandler(BaseHTTPRequestHandler):
-    server_version = "repro-serving/1"
-    protocol_version = "HTTP/1.1"
-    server: DetectionHTTPServer
+class JSONRequestHandler(BaseHTTPRequestHandler):
+    """Keep-alive JSON plumbing of the shard and router handlers."""
 
-    # -- plumbing ------------------------------------------------------------
+    protocol_version = "HTTP/1.1"
+    #: First word of this handler's telemetry counter names.
+    telemetry_prefix = "http"
 
     def log_message(self, format: str, *args: Any) -> None:
         if self.server.verbose:
@@ -148,7 +167,9 @@ class DetectionRequestHandler(BaseHTTPRequestHandler):
         payload: dict[str, Any],
         headers: dict[str, str] | None = None,
     ) -> None:
-        self.server.telemetry.inc(f"http_responses_{status // 100}xx")
+        self.server.telemetry.inc(
+            f"{self.telemetry_prefix}_responses_{status // 100}xx"
+        )
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -163,6 +184,11 @@ class DetectionRequestHandler(BaseHTTPRequestHandler):
         if length <= 0:
             raise ValueError("empty request body")
         return json.loads(self.rfile.read(length).decode("utf-8"))
+
+
+class DetectionRequestHandler(JSONRequestHandler):
+    server_version = "repro-serving/1"
+    server: DetectionHTTPServer
 
     # -- routes --------------------------------------------------------------
 
@@ -236,16 +262,7 @@ class DetectionRequestHandler(BaseHTTPRequestHandler):
         # request, and an overloaded queue sheds the request whole --
         # the acknowledgement can never claim less (or more) than what
         # actually happened.
-        if not isinstance(body, dict):
-            raise ValueError("body must be a JSON object")
-        rows = body.get("comments", [])
-        if not isinstance(rows, list):
-            raise ValueError('"comments" must be a list')
-        comments = [parse_comment_row(row) for row in rows]
-        sales_rows = body.get("sales", [])
-        if not isinstance(sales_rows, list):
-            raise ValueError('"sales" must be a list of [item_id, volume]')
-        sales = [parse_sales_row(row) for row in sales_rows]
+        comments, sales = parse_ingest_body(body)
         if comments or sales:
             result = self.server.service.feed(
                 comments, sales, timeout=RESPONSE_TIMEOUT_S
@@ -263,9 +280,7 @@ class DetectionRequestHandler(BaseHTTPRequestHandler):
         self._send_json(200, payload)
 
     def _handle_score(self, body: Any) -> None:
-        if not isinstance(body, dict) or "item_ids" not in body:
-            raise ValueError('body must be {"item_ids": [...]}')
-        item_ids = parse_item_ids(body["item_ids"])
+        item_ids = parse_score_body(body)
         service = self.server.service
         try:
             probabilities = service.score(

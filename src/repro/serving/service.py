@@ -36,7 +36,7 @@ from repro.collector.records import CommentRecord
 from repro.core.columnar import ColumnarStoreError
 from repro.core.streaming import Alert, StreamingDetector, shard_of
 from repro.core.system import CATS
-from repro.serving.batching import MicroBatcher, Request
+from repro.serving.batching import DEFAULT_MAX_DELAY, MicroBatcher, Request
 from repro.serving.checkpoint import CheckpointError, CheckpointManager
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -128,7 +128,7 @@ class DetectionService:
         min_comments_to_score: int = 3,
         max_tracked_items: int | None = None,
         max_batch: int = 32,
-        max_delay_ms: float = 25.0,
+        max_delay_ms: float = DEFAULT_MAX_DELAY * 1000.0,
         queue_depth: int = 256,
         checkpoint_dir: str | None = None,
         checkpoint_every: int | None = None,

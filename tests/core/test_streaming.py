@@ -1,5 +1,7 @@
 """Tests for repro.core.streaming."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -470,3 +472,23 @@ class TestModelStamp:
     def test_no_expectation_ignores_stamp(self, stream, trained_cats):
         state = self._state(stream, {"content_hash": self.HASH_A})
         StreamingDetector(trained_cats).restore_state(state)
+
+
+class TestExport:
+    def test_comments_export_like_asdict(self, stream, taobao_platform):
+        """Same values and key order as ``dataclasses.asdict``, so the
+        checkpoint JSON is unchanged byte for byte."""
+        item = next(
+            i for i in taobao_platform.items if len(i.comments) >= 4
+        )
+        records = records_for(taobao_platform, item)
+        stream.observe_many(records)
+        (entry,) = [
+            e for e in stream.export_state()["items"]
+            if e["item_id"] == item.item_id
+        ]
+        expected = [dataclasses.asdict(r) for r in records]
+        assert entry["comments"] == expected
+        assert [list(c) for c in entry["comments"]] == [
+            list(c) for c in expected
+        ]

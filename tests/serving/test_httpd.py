@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import statistics
 import threading
 import time
 
@@ -139,6 +140,41 @@ class TestEndpoints:
         assert status == 200
         assert stats["records_observed"] == 20
         assert stats["queue_capacity"] == 256
+
+
+class TestDefaultBatching:
+    def test_lone_client_is_not_held(
+        self, trained_cats, feed, feed_item_ids
+    ):
+        """A client that waits for every reply never has company to
+        batch with; the old 25 ms default hold made every round trip
+        >= 25 ms.  Fresh connections keep the delayed-ACK stall out."""
+        import http.client
+
+        service = DetectionService(trained_cats, rescore_growth=1.0).start()
+        server = make_server(service, port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        port = server.server_address[1]
+        body = json.dumps({"item_ids": feed_item_ids[:4]})
+        samples = []
+        try:
+            service.ingest(feed, timeout=60)
+            for _ in range(30):
+                conn = http.client.HTTPConnection(
+                    "127.0.0.1", port, timeout=30
+                )
+                start = time.perf_counter()
+                conn.request("POST", "/score", body=body)
+                response = conn.getresponse()
+                response.read()
+                samples.append((time.perf_counter() - start) * 1000.0)
+                conn.close()
+                assert response.status == 200
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.stop()
+        assert statistics.median(samples) < 20
 
 
 class TestErrorMapping:

@@ -1,4 +1,4 @@
-"""The durability acceptance test for the serving subsystem.
+"""The durability acceptance tests for the serving subsystem.
 
 kill -9 the serving process mid-stream, restart it from the latest
 checkpoint, replay the remainder of the feed, and assert the final
@@ -6,16 +6,21 @@ scores and alert set are identical to an uninterrupted run.  The
 restarted server reports how far its checkpoint got via
 ``records_observed`` in ``/stats``; because the feed contains no
 duplicates, that count is exactly the replay position.
+
+A SIGTERM must always end in a drained queue, a final checkpoint and
+exit code 0, even when it lands while connections keep arriving.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import http.client
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -23,6 +28,7 @@ import pytest
 
 from repro.core.persistence import load_cats, save_cats
 from repro.core.streaming import StreamingDetector
+from repro.serving.checkpoint import CheckpointManager
 
 CHECKPOINT_EVERY = 40
 CHUNK = 10
@@ -73,8 +79,6 @@ class ServerProcess:
         self.port = announcement["port"]
 
     def request(self, method: str, path: str, body=None):
-        import http.client
-
         conn = http.client.HTTPConnection(self.host, self.port, timeout=60)
         try:
             conn.request(
@@ -171,3 +175,48 @@ def test_kill9_restart_replay_is_identical(
     assert alerts["alerts"] == [
         dataclasses.asdict(a) for a in reference.alerts
     ]
+
+
+def test_sigterm_during_connection_storm_drains_and_exits(
+    model_dir, feed, tmp_path
+):
+    for attempt in range(3):
+        checkpoint_dir = tmp_path / f"ckpts-{attempt}"
+        server = ServerProcess(model_dir, checkpoint_dir)
+        stop_storm = threading.Event()
+
+        def storm() -> None:
+            # A fresh connection per request, until the server is gone.
+            while not stop_storm.is_set():
+                try:
+                    server.request("GET", "/healthz")
+                except (OSError, http.client.HTTPException, ValueError):
+                    return
+
+        storm_threads = [
+            threading.Thread(target=storm, daemon=True) for _ in range(4)
+        ]
+        try:
+            # Fewer records than CHECKPOINT_EVERY: any checkpoint on
+            # disk afterwards is the final one written by the drain.
+            acked = sum(
+                server.ingest(feed[start : start + CHUNK])
+                for start in range(0, 3 * CHUNK, CHUNK)
+            )
+            assert not has_checkpoint(checkpoint_dir)
+            for thread in storm_threads:
+                thread.start()
+            time.sleep(0.2 * (attempt + 1))
+            server.proc.send_signal(signal.SIGTERM)
+            code = server.proc.wait(timeout=10)
+            stop_storm.set()
+            for thread in storm_threads:
+                thread.join(timeout=30)
+        finally:
+            stop_storm.set()
+            if server.proc.poll() is None:
+                server.kill9()
+        assert code == 0
+        assert not any(thread.is_alive() for thread in storm_threads)
+        state, _ = CheckpointManager(checkpoint_dir).load_latest()
+        assert state["n_observed"] == acked

@@ -288,6 +288,9 @@ class TestCheckpointing:
         monkeypatch.setattr(svc.checkpoints, "save", boom)
         ack = svc.ingest(feed[:40])
         assert ack.accepted == 40
+        # A batch checkpoints after resolving its futures; the next
+        # request returns only once that attempt is over.
+        svc.ingest([])
         stats = svc.stats()
         assert stats["checkpoint_failures"] >= 1
         assert "disk on fire" in stats["last_checkpoint_error"]
