@@ -1,11 +1,10 @@
 """Comment-analysis pipeline benchmark: scalar vs vectorized path.
 
-Measures per-comment analysis throughput in the two implementations the
-feature extractor carries:
+Measures per-comment analysis throughput in two implementations:
 
-* **scalar reference** -- ``FeatureExtractor.comment_stats_scalar``:
+* **scalar reference** -- ``tests.oracles.features.comment_stats_scalar``:
   per-word Python loops, set intersections against the lexicons, one NB
-  sentiment call per comment, no cache (the pre-PR implementation);
+  sentiment call per comment, no cache (the original implementation);
 * **vectorized pipeline** -- ``FeatureExtractor.comment_stats_many``:
   trie-driven Viterbi segmentation, interned ``int32`` id arrays with
   lexicon mask gathers, one *batched* NB sentiment call per batch of
@@ -52,6 +51,12 @@ from repro.core.features import FeatureExtractor, ItemAccumulator
 
 RESULTS_DIR = Path(__file__).parent / "results"
 REPO_ROOT = Path(__file__).parent.parent
+
+# The reference implementations live in tests/oracles; a standalone
+# `PYTHONPATH=src python benchmarks/...` run does not have the repo root
+# on the path.
+sys.path.insert(0, str(REPO_ROOT.resolve()))
+from tests.oracles.features import comment_stats_scalar  # noqa: E402
 
 #: Acceptance floor: vectorized comments/sec over scalar comments/sec
 #: on the duplicate-heavy feed.
@@ -122,7 +127,7 @@ def matrix_scalar(extractor: FeatureExtractor, texts: list[str]):
     for start in range(0, len(texts), ITEM_SIZE):
         accumulator = ItemAccumulator()
         for text in texts[start : start + ITEM_SIZE]:
-            accumulator.add(extractor.comment_stats_scalar(text))
+            accumulator.add(comment_stats_scalar(extractor, text))
         rows.append(accumulator.to_vector())
     return np.vstack(rows)
 
@@ -172,7 +177,7 @@ def run(quick: bool) -> dict:
     scalar_timed = FeatureExtractor(analyzer, cache_size=0)
     t0 = time.perf_counter()
     for text in texts:
-        scalar_timed.comment_stats_scalar(text)
+        comment_stats_scalar(scalar_timed, text)
     scalar_elapsed = time.perf_counter() - t0
 
     # The vectorized run consumes the feed in item-sized batches (the

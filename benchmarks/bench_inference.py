@@ -1,7 +1,7 @@
 """Inference-engine benchmark: packed-arena vs per-tree scoring.
 
-Measures :mod:`repro.ml.inference` against the retained per-tree
-reference path (``decision_function_reference``) at deployment scale:
+Measures :mod:`repro.ml.inference` against the per-tree reference loop
+(``tests.oracles.gbdt.decision_function_reference``) at deployment scale:
 a D1-sized batch (200k rows x 11 features) through the detector's
 production ensemble shape (120 trees, depth 4).
 
@@ -38,12 +38,19 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import parallel
 from repro.analysis.reporting import render_table
 from repro.core.detector import Detector
 from repro.ml import GradientBoostingClassifier
 
 RESULTS_DIR = Path(__file__).parent / "results"
 REPO_ROOT = Path(__file__).parent.parent
+
+# The reference implementations live in tests/oracles; a standalone
+# `PYTHONPATH=src python benchmarks/...` run does not have the repo root
+# on the path.
+sys.path.insert(0, str(REPO_ROOT.resolve()))
+from tests.oracles.gbdt import decision_function_reference  # noqa: E402
 
 #: Acceptance floor for packed over per-tree scoring at full scale.
 MIN_SPEEDUP = 3.0
@@ -76,7 +83,6 @@ def synthetic_scoring_task(quick: bool):
         n_estimators=n_estimators,
         learning_rate=0.2,
         max_depth=4,
-        tree_method="hist",
         seed=0,
     ).fit(X_train, y_train)
     X_score = rng.normal(size=(n_score, n_features))
@@ -100,6 +106,7 @@ def run(quick: bool) -> dict:
     packed = model._packed_ensemble()
     out: dict[str, object] = {
         "quick": quick,
+        "n_cpus": parallel.usable_cpus(),
         "n_rows": X.shape[0],
         "n_features": X.shape[1],
         "n_trees": len(model.trees_),
@@ -109,7 +116,7 @@ def run(quick: bool) -> dict:
     }
 
     print("timing per-tree reference ...", file=sys.stderr)
-    ref_s, reference = best_of(lambda: model.decision_function_reference(X))
+    ref_s, reference = best_of(lambda: decision_function_reference(model, X))
     print("timing packed arena ...", file=sys.stderr)
     packed_s, margins = best_of(lambda: model.decision_function(X))
     assert np.array_equal(margins, reference), (

@@ -1,13 +1,13 @@
 """Training-stack benchmark: histogram GBDT, parallel CV, batched k-NN.
 
-Measures the three training-path optimizations against the retained
-reference implementations:
+Measures the three training-path optimizations against the reference
+implementations in ``tests/oracles/``:
 
-* **GBDT** -- ``tree_method="hist"`` (the level-synchronous histogram
-  engine) vs ``tree_method="hist-pernode"``
-  (the retained per-node histogram builder) vs ``tree_method="exact"``
-  (greedy sorted-column scan) on a synthetic D0-scale dataset, with the
-  detector's hyperparameters;
+* **GBDT** -- ``GradientBoostingClassifier`` (the level-synchronous
+  histogram engine) vs the per-node histogram builder vs exact greedy
+  split finding (sorted-column scan), both boosted by
+  ``tests.oracles.gbdt.fit_reference``, on a synthetic D0-scale
+  dataset, with the detector's hyperparameters;
 * **cross-validation** -- five-fold CV over the Table III candidate
   classifiers, serial vs ``n_workers=4`` (clamped by the executor to
   the usable CPUs; the factories pickle, so the folds run on worker
@@ -64,6 +64,16 @@ from repro.text.vocabulary import Vocabulary
 RESULTS_DIR = Path(__file__).parent / "results"
 REPO_ROOT = Path(__file__).parent.parent
 
+# The reference implementations live in tests/oracles; a standalone
+# `PYTHONPATH=src python benchmarks/...` run does not have the repo root
+# on the path.
+sys.path.insert(0, str(REPO_ROOT.resolve()))
+from tests.oracles.gbdt import (  # noqa: E402
+    decision_function_reference,
+    fit_reference,
+)
+from tests.oracles.similarity import expand_lexicon_reference  # noqa: E402
+
 #: Acceptance floor for hist over exact GBDT fit time at full scale.
 MIN_GBDT_SPEEDUP = 3.0
 #: Quick scale only sanity-checks that hist is not slower: the binning
@@ -109,8 +119,8 @@ def _assert_same_model(reference, other, X_train, label: str) -> None:
                 getattr(tree_a, field), getattr(tree_b, field)
             ), f"{label}: tree field {field} differs"
     assert np.array_equal(
-        reference.decision_function_reference(X_train),
-        other.decision_function_reference(X_train),
+        decision_function_reference(reference, X_train),
+        decision_function_reference(other, X_train),
     ), f"{label}: margins differ"
 
 
@@ -125,25 +135,31 @@ def bench_gbdt(quick: bool) -> dict:
     X_train, y_train, X_test, y_test = synthetic_d0(n)
     out: dict[str, float] = {}
 
-    def fit_timed(key: str, **kwargs) -> GradientBoostingClassifier:
-        model = GradientBoostingClassifier(
-            n_estimators=n_estimators,
-            learning_rate=0.2,
-            max_depth=4,
-            seed=0,
-            **kwargs,
-        )
+    params = dict(
+        n_estimators=n_estimators, learning_rate=0.2, max_depth=4, seed=0
+    )
+
+    def fit_timed(key: str, fit) -> GradientBoostingClassifier:
         t0 = time.perf_counter()
-        model.fit(X_train, y_train)
+        model = fit()
         out[f"{key}_fit_s"] = round(time.perf_counter() - t0, 3)
         out[f"{key}_test_f1"] = round(
             f1_score(y_test, model.predict(X_test)), 4
         )
         return model
 
-    exact = fit_timed("exact", tree_method="exact")
-    pernode = fit_timed("hist_pernode", tree_method="hist-pernode")
-    engine = fit_timed("hist", tree_method="hist")
+    fit_timed(
+        "exact",
+        lambda: fit_reference(X_train, y_train, builder="exact", **params),
+    )
+    pernode = fit_timed(
+        "hist_pernode",
+        lambda: fit_reference(X_train, y_train, builder="pernode", **params),
+    )
+    engine = fit_timed(
+        "hist",
+        lambda: GradientBoostingClassifier(**params).fit(X_train, y_train),
+    )
     _assert_same_model(pernode, engine, X_train, "engine vs pernode")
 
     out["n_train_rows"] = len(y_train)
@@ -235,12 +251,13 @@ def bench_lexicon(quick: bool) -> dict:
     results: dict[str, list[str]] = {}
     timings: dict[str, float] = {}
     repeats = 3 if quick else 5
-    for method in ("reference", "batched"):
+    for method, expand in (
+        ("reference", expand_lexicon_reference),
+        ("batched", expand_lexicon),
+    ):
         t0 = time.perf_counter()
         for _ in range(repeats):
-            results[method] = expand_lexicon(
-                model, seeds, method=method, **kwargs
-            )
+            results[method] = expand(model, seeds, **kwargs)
         timings[method] = round((time.perf_counter() - t0) / repeats, 4)
     assert results["batched"] == results["reference"], (
         "batched expansion must produce the reference lexicon"

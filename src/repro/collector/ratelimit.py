@@ -37,11 +37,6 @@ class TokenBucket:
         self._requests = 0
 
     @property
-    def clock_seconds(self) -> float:
-        """Simulated time elapsed since construction."""
-        return self._clock
-
-    @property
     def waited_seconds(self) -> float:
         """Total simulated time spent waiting for tokens."""
         return self._waited

@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import json
 import time
-from collections import Counter
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 from typing import Any
@@ -552,69 +551,6 @@ class ColumnarCommentStore:
         matrix[:, 10] = seq_sum("bigram_ratio_term") / safe_n
         matrix[lens == 0] = 0.0
         return matrix
-
-    def rehydrate_stats(self, rows: Iterable[int]) -> list[CommentStats]:
-        """Reconstruct :class:`CommentStats` for stored rows.
-
-        Field-for-field equal to the objects the extractor produced at
-        append time (``word_counts`` decoded through the interner), but
-        built from columns -- no segmentation or sentiment model runs.
-        """
-        rows = np.asarray(list(rows), dtype=np.int64)
-        offsets = self.offsets()
-        tokens = self.tokens()
-        columns = {
-            name: np.asarray(self.column(name))
-            for name in (
-                "n_positive_distinct",
-                "pos_neg_delta",
-                "n_punctuation",
-                "n_positive_bigrams",
-                "sentiment",
-                "entropy",
-                "punctuation_ratio",
-                "bigram_ratio_term",
-            )
-        }
-        out = []
-        for row in rows:
-            ids = np.asarray(
-                tokens[offsets[row] : offsets[row + 1]], dtype=np.int32
-            )
-            unique, counts = np.unique(ids, return_counts=True)
-            word_counts = Counter(
-                dict(
-                    zip(
-                        self._interner.decode(unique),
-                        (int(c) for c in counts),
-                    )
-                )
-            )
-            out.append(
-                CommentStats(
-                    n_words=int(ids.shape[0]),
-                    word_counts=word_counts,
-                    n_positive_distinct=int(
-                        columns["n_positive_distinct"][row]
-                    ),
-                    pos_neg_delta=int(columns["pos_neg_delta"][row]),
-                    sentiment=float(columns["sentiment"][row]),
-                    entropy=float(columns["entropy"][row]),
-                    n_punctuation=int(columns["n_punctuation"][row]),
-                    punctuation_ratio=float(
-                        columns["punctuation_ratio"][row]
-                    ),
-                    n_positive_bigrams=int(
-                        columns["n_positive_bigrams"][row]
-                    ),
-                    bigram_ratio_term=float(
-                        columns["bigram_ratio_term"][row]
-                    ),
-                    token_ids=ids,
-                )
-            )
-        self.n_rehydrated_rows += len(rows)
-        return out
 
     # -- persistence -------------------------------------------------------
 

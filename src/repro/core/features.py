@@ -67,9 +67,7 @@ from repro.core.analysis_cache import AnalysisCache, CacheInfo
 from repro.core.analyzer import SemanticAnalyzer
 from repro.core.interning import TokenInterner
 from repro.parallel import effective_workers, map_ordered, worker_state
-from repro.text.ngrams import positive_bigram_count
 from repro.text.stats import (
-    comment_entropy,
     entropy_from_counts,
     punctuation_count,
     punctuation_ratio,
@@ -146,8 +144,7 @@ class CommentStats:
         :meth:`TokenInterner.encode` (length-preserving); *sentiment*
         is the precomputed ``P(positive)`` (the caller batches
         sentiment across comments).  Every field is bit-identical to
-        the scalar reference
-        (:meth:`FeatureExtractor.comment_stats_scalar`): integer
+        the scalar reference (``tests/oracles/features.py``): integer
         counts are exact by construction, entropy goes through the
         shared sorted-counts kernel
         (:func:`repro.text.stats.entropy_from_counts`), and sentiment
@@ -307,9 +304,9 @@ class FeatureExtractor:
     The per-comment analysis runs on the interned fast path: the
     segmentation is mapped to an ``int32`` id array once, lexicon
     membership and entropy are numpy operations over that array, and
-    sentiment is a batched NB gather.
-    :meth:`comment_stats_scalar` keeps the original string-based
-    implementation as the bit-identical reference.
+    sentiment is a batched NB gather.  The original string-based
+    implementation is kept as the bit-identical reference in
+    ``tests/oracles/features.py``.
     """
 
     def __init__(
@@ -447,35 +444,6 @@ class FeatureExtractor:
             if results[i] is None:
                 results[i] = results[computed[text]]
         return results  # type: ignore[return-value]
-
-    def comment_stats_scalar(self, text: str) -> CommentStats:
-        """Reference implementation: per-word Python loops, no cache.
-
-        This is the original scalar analysis path, kept as the ground
-        truth the vectorized path is property-tested against (and the
-        baseline the pipeline benchmark measures against).
-        """
-        words = self.analyzer.segment(text)
-        word_set = set(words)
-        positive = self.analyzer.lexicon.positive
-        negative = self.analyzer.lexicon.negative
-        n_pos = len(word_set & positive)
-        n_neg = len(word_set & negative)
-        n_bigrams_pos = positive_bigram_count(words, positive)
-        return CommentStats(
-            n_words=len(words),
-            word_counts=Counter(words),
-            n_positive_distinct=n_pos,
-            pos_neg_delta=abs(n_pos - n_neg),
-            sentiment=self.analyzer.sentiment.score(words),
-            entropy=comment_entropy(words),
-            n_punctuation=punctuation_count(text),
-            punctuation_ratio=punctuation_ratio(text),
-            n_positive_bigrams=n_bigrams_pos,
-            bigram_ratio_term=(
-                n_bigrams_pos / (len(words) - 1) if len(words) > 1 else 0.0
-            ),
-        )
 
     def make_accumulator(self) -> ItemAccumulator:
         """A fresh, empty per-item accumulator."""

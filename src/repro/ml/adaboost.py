@@ -106,28 +106,13 @@ class AdaBoostClassifier(BaseClassifier):
 
         All weak learners are traversed simultaneously through the
         packed arena (leaf values are the vote signs, per-tree scales
-        the stage weights), bitwise identical to
-        :meth:`decision_function_reference`.
+        the stage weights), bitwise identical to the per-stump voting
+        loop.
         """
         X_arr = check_array(X)
         self._check_n_features(X_arr)
         total = self._packed_ensemble().margins(X_arr)
         weight_sum = float(sum(self.estimator_weights_))
-        if weight_sum > 0:
-            total /= weight_sum
-        return total
-
-    def decision_function_reference(self, X) -> np.ndarray:
-        """Per-stump voting loop, kept as the packed path's bit-identity
-        reference."""
-        X_arr = check_array(X)
-        self._check_n_features(X_arr)
-        total = np.zeros(X_arr.shape[0], dtype=np.float64)
-        weight_sum = 0.0
-        for stump, alpha in zip(self.estimators_, self.estimator_weights_):
-            pred_signs = np.where(stump.predict(X_arr) == 1, 1.0, -1.0)
-            total += alpha * pred_signs
-            weight_sum += alpha
         if weight_sum > 0:
             total /= weight_sum
         return total

@@ -1,13 +1,14 @@
 """Level-synchronous histogram engine for the hist GBDT builder.
 
-:class:`~repro.ml.gbdt._HistTreeBuilder` builds one gradient/hessian
-histogram pair per *node*: a gather of the node's pre-offset flat bin
-codes followed by two ``np.bincount`` calls, then scans each feature's
-bin boundaries in a Python loop.  Per-fit cost is dominated by per-node
-dispatch: at detector settings (120 trees x depth 4) one fit issues
-tens of thousands of small numpy calls.  :class:`LevelHistEngine`
-grows the *same tree* breadth-first, doing the per-node work for an
-entire level in a handful of large array operations:
+The per-node reference builder in ``tests/oracles/gbdt.py`` builds
+one gradient/hessian histogram pair per *node*: a gather of the node's
+pre-offset flat bin codes followed by two ``np.bincount`` calls, then
+scans each feature's bin boundaries in a Python loop.  Per-fit cost
+is dominated by per-node dispatch: at detector settings (120 trees x
+depth 4) one fit issues tens of thousands of small numpy calls.
+:class:`LevelHistEngine` grows the *same tree* breadth-first, doing the
+per-node work for an entire level in a handful of large array
+operations:
 
 * **One bincount per level.**  Every node of a level that needs a
   directly-built histogram is packed into one composite code space,
@@ -65,9 +66,9 @@ from repro.ml.gbdt import _LEAF, _BoostTree, _sample_columns
 class _TreeLayout:
     """Histogram layout over one tree's sampled columns.
 
-    Mirrors ``_HistTreeBuilder._set_columns``: per-column bin counts,
-    flat bin offsets, and the pre-offset ``(n_rows, n_cols)`` flat
-    codes.
+    Mirrors the per-node reference builder's column layout: per-column
+    bin counts, flat bin offsets, and the pre-offset ``(n_rows,
+    n_cols)`` flat codes.
     """
 
     __slots__ = (
@@ -213,7 +214,7 @@ class LevelHistEngine:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Best (column index, boundary, gain) per node, vectorized.
 
-        Reproduces ``_HistTreeBuilder._best_split`` exactly: the same
+        Reproduces the per-node reference's split search exactly: the same
         per-segment cumulative sums, the same gain expression with the
         same operand order, and the same tie rule -- the feature-major
         flattened first-``argmax`` picks the earliest boundary within a
@@ -269,7 +270,7 @@ class LevelHistEngine:
     ) -> tuple[_BoostTree, np.ndarray]:
         """Grow one tree; returns it plus the per-row leaf assignment
         (leaf id per row of *rows*, zero elsewhere), byte-identical to
-        ``_HistTreeBuilder.build`` with the same generator state."""
+        the per-node reference builder with the same generator state."""
         layout = self._layout(
             _sample_columns(rng, self.codes.shape[1], self.colsample)
         )

@@ -1,13 +1,13 @@
 """Packed-ensemble inference engine.
 
 Scoring dominates the CATS workload: the detector is trained once on D0
-but applied to millions of items (D1, the crawled E-platform).  The
-model classes keep a per-tree reference path (``_BoostTree.predict``,
-``DecisionTreeClassifier._leaf_values``) that walks one tree at a time
--- ~``n_trees * depth`` masked passes over the batch.  This module
-freezes a fitted ensemble into one contiguous node arena and traverses
-**all trees simultaneously**, advancing an ``(n_trees, block)``
-node-index matrix one level per numpy pass.
+but applied to millions of items (D1, the crawled E-platform).  A
+per-tree loop (``_BoostTree.predict``; the reference loops live in
+``tests/oracles/``) walks one tree at a time -- ~``n_trees * depth``
+masked passes over the batch.  This module freezes a fitted ensemble
+into one contiguous node arena and traverses **all trees
+simultaneously**, advancing an ``(n_trees, block)`` node-index matrix
+one level per numpy pass.
 
 Arena layouts
 -------------
@@ -368,9 +368,7 @@ class PackedEnsemble:
 
     # -- traversal ----------------------------------------------------------
 
-    def _traverse(
-        self, X: np.ndarray, x_dtype: np.dtype | None = None
-    ) -> np.ndarray:
+    def _traverse(self, X: np.ndarray) -> np.ndarray:
         """Margins per row: blocked level-synchronous traversal."""
         n = X.shape[0]
         out = np.full(n, self.base_score, dtype=np.float64)
@@ -378,8 +376,7 @@ class PackedEnsemble:
             return out
         # Tree-major value gathers index the transposed matrix as
         # flat[feature * n + row].
-        x_dtype = np.float64 if x_dtype is None else np.dtype(x_dtype)
-        x_flat = np.ascontiguousarray(X.T, dtype=x_dtype).ravel()
+        x_flat = np.ascontiguousarray(X.T).ravel()
         feature_n = self.gather_feature * n
         n_trees = self.n_trees
         block = min(_BLOCK_ROWS, n)
@@ -387,7 +384,7 @@ class PackedEnsemble:
         node = np.empty((n_trees, block), dtype=np.intp)
         flat_idx = np.empty((n_trees, block), dtype=np.intp)
         go_right = np.empty((n_trees, block), dtype=np.intp)
-        values = np.empty((n_trees, block), dtype=x_dtype)
+        values = np.empty((n_trees, block), dtype=np.float64)
         thresholds = np.empty((n_trees, block), dtype=np.float64)
         group_nodes = np.empty((n_trees, group), dtype=np.intp)
         leaves = np.empty((n_trees, group), dtype=np.float64)
@@ -438,14 +435,8 @@ class PackedEnsemble:
                     acc += scales[t] * lw[t]
         return out
 
-    def margins(
-        self, X: np.ndarray, x_dtype: np.dtype | None = None
-    ) -> np.ndarray:
-        """Ensemble margin per row of *X*.
-
-        ``x_dtype=np.float32`` opts into half-width value gathers
-        (exact only when X round-trips through float32).
-        """
+    def margins(self, X: np.ndarray) -> np.ndarray:
+        """Ensemble margin per row of *X*."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
@@ -455,7 +446,7 @@ class PackedEnsemble:
             )
         self.n_calls += 1
         self.n_rows += X.shape[0]
-        return self._traverse(X, x_dtype)
+        return self._traverse(X)
 
     def scoring_stats(self) -> dict[str, int]:
         """Activity counters (calls / rows scored through this arena)."""

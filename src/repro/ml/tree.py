@@ -252,36 +252,11 @@ class DecisionTreeClassifier(BaseClassifier):
             self._packed = packed
         return packed
 
-    def _leaf_values(self, X: np.ndarray) -> np.ndarray:
-        """Return P(fraud) at the leaf reached by each row of X.
-
-        Masked per-level traversal, kept as the bit-identity reference
-        for the packed scoring path used by :meth:`predict_proba`.
-        """
-        self._check_n_features(X)
-        n = X.shape[0]
-        node = np.zeros(n, dtype=np.int64)
-        active = np.arange(n)
-        while len(active):
-            cur = node[active]
-            internal = self.feature_[cur] != _LEAF
-            active = active[internal]
-            if len(active) == 0:
-                break
-            cur = node[active]
-            feat = self.feature_[cur]
-            thr = self.threshold_[cur]
-            go_left = X[active, feat] <= thr
-            node[active] = np.where(
-                go_left, self.children_left_[cur], self.children_right_[cur]
-            )
-        return self.value_[node]
-
     def predict_proba(self, X) -> np.ndarray:
         """Return ``(n, 2)`` class probabilities from leaf frequencies.
 
-        Scored through the packed arena, bitwise identical to
-        :meth:`_leaf_values`.
+        Scored through the packed arena, bitwise identical to a masked
+        per-level traversal of the tree arrays.
         """
         X_arr = check_array(X)
         self._check_n_features(X_arr)

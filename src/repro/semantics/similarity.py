@@ -58,7 +58,6 @@ def expand_lexicon(
     max_size: int = 200,
     min_similarity: float = 0.5,
     max_rounds: int = 20,
-    method: str = "batched",
 ) -> list[str]:
     """Iteratively expand *seeds* into a lexicon via k-NN search.
 
@@ -71,16 +70,11 @@ def expand_lexicon(
     case the caller can detect by checking the result); at least one seed
     must be known.
 
-    ``method="batched"`` (default) scores the whole frontier against
-    the vocabulary in one matmul per round
-    (:meth:`Word2Vec.most_similar_batch`); ``"reference"`` keeps the
-    per-frontier-word queries.  Both produce the same lexicon
-    (property-tested in ``tests/semantics/test_similarity.py``).
+    Each round scores the whole frontier against the vocabulary in one
+    matmul (:meth:`Word2Vec.most_similar_batch`).  The lexicon equals
+    the one per-frontier-word queries build (property-tested in
+    ``tests/semantics/test_batched_expansion.py``).
     """
-    if method not in ("batched", "reference"):
-        raise ValueError(
-            f"method must be 'batched' or 'reference', got {method!r}"
-        )
     known_seeds = [s for s in seeds if s in model]
     if not known_seeds:
         raise ValueError("no seed word is in the word2vec vocabulary")
@@ -94,15 +88,9 @@ def expand_lexicon(
     for _ in range(max_rounds):
         if len(lexicon) >= max_size or not frontier:
             break
-        if method == "batched":
-            neighbor_lists = model.most_similar_batch(
-                frontier, k=k, exclude=member_set
-            )
-        else:
-            neighbor_lists = [
-                model.most_similar(word, k=k, exclude=member_set)
-                for word in frontier
-            ]
+        neighbor_lists = model.most_similar_batch(
+            frontier, k=k, exclude=member_set
+        )
         additions: list[tuple[str, float]] = []
         for neighbors in neighbor_lists:
             for neighbor, score in neighbors:

@@ -184,8 +184,9 @@ class Word2Vec:
         """Generate the (center, context) pairs for one epoch.
 
         Vectorized over every position of a sentence at once; draws the
-        same RNG sequence and emits pairs in the same order as
-        :meth:`_epoch_pairs_reference`, so training is unchanged.
+        same RNG sequence and emits pairs in the same order as the
+        per-position loop in ``tests/oracles/word2vec.py``, so training
+        is unchanged.
         """
         centers: list[np.ndarray] = []
         contexts: list[np.ndarray] = []
@@ -214,41 +215,6 @@ class Word2Vec:
             ctx_idx += ctx_idx >= np.repeat(positions, counts)
             centers.append(np.repeat(ids, counts))
             contexts.append(ids[ctx_idx])
-        if not centers:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        center_arr = np.concatenate(centers)
-        context_arr = np.concatenate(contexts)
-        order = rng.permutation(len(center_arr))
-        return center_arr[order], context_arr[order]
-
-    def _epoch_pairs_reference(
-        self,
-        encoded: list[list[int]],
-        keep_prob: np.ndarray,
-        rng: np.random.Generator,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-position loop implementation kept as the parity reference
-        for :meth:`_epoch_pairs` (bit-identical output, same RNG use)."""
-        centers: list[np.ndarray] = []
-        contexts: list[np.ndarray] = []
-        for sentence in encoded:
-            ids = np.array(sentence, dtype=np.int64)
-            if self.subsample > 0:
-                keep = rng.random(len(ids)) < keep_prob[ids]
-                ids = ids[keep]
-            n = len(ids)
-            if n < 2:
-                continue
-            spans = rng.integers(1, self.window + 1, size=n)
-            for pos in range(n):
-                span = int(spans[pos])
-                lo = max(0, pos - span)
-                hi = min(n, pos + span + 1)
-                ctx = np.concatenate([ids[lo:pos], ids[pos + 1 : hi]])
-                if len(ctx) == 0:
-                    continue
-                centers.append(np.full(len(ctx), ids[pos], dtype=np.int64))
-                contexts.append(ctx)
         if not centers:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         center_arr = np.concatenate(centers)

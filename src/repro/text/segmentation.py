@@ -190,7 +190,7 @@ class ViterbiSegmenter(DictionarySegmenter):
     program relaxes ``best[end]`` in exactly the same candidate order as
     the substring-hashing reference (for each end, starts ascending with
     a strictly-greater update), so the segmentation output is identical
-    -- :meth:`_segment_run_reference` keeps the original algorithm as
+    -- ``tests/oracles/segmentation.py`` keeps the original algorithm as
     the property-tested reference.
     """
 
@@ -225,7 +225,7 @@ class ViterbiSegmenter(DictionarySegmenter):
         # every hot name is a local; candidate relaxation order --
         # ends ascending per start, strictly-greater updates -- is
         # exactly the reference's, so the output is bit-identical
-        # (property-tested against _segment_run_reference).
+        # (property-tested against tests/oracles/segmentation.py).
         n = len(run)
         if n == 0:
             return []
@@ -269,41 +269,6 @@ class ViterbiSegmenter(DictionarySegmenter):
                 if score > best[start + 1]:
                     best[start + 1] = score
                     back[start + 1] = start
-        words: list[str] = []
-        end = n
-        while end > 0:
-            start = back[end]
-            words.append(run[start:end])
-            end = start
-        words.reverse()
-        return words
-
-    def _segment_run_reference(self, run: str) -> list[str]:
-        """Substring-hashing reference implementation (pre-trie).
-
-        Kept verbatim so the property tests can assert the trie-driven
-        fast path produces identical segmentations.
-        """
-        n = len(run)
-        if n == 0:
-            return []
-        best = [-math.inf] * (n + 1)
-        back = [0] * (n + 1)
-        best[0] = 0.0
-        for end in range(1, n + 1):
-            lo = max(0, end - self._max_word_len)
-            for start in range(lo, end):
-                word = run[start:end]
-                if word in self._log_probs:
-                    log_prob = self._log_probs[word]
-                elif end - start == 1:
-                    log_prob = _OOV_LOG_PROB
-                else:
-                    continue
-                score = best[start] + log_prob
-                if score > best[end]:
-                    best[end] = score
-                    back[end] = start
         words: list[str] = []
         end = n
         while end > 0:

@@ -11,7 +11,7 @@ into words.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 #: Punctuation marks that occur in platform comments.  The set mixes ASCII
 #: marks with the full-width marks common in Chinese e-commerce comments
@@ -66,20 +66,6 @@ def split_punctuation(text: str) -> list[str]:
     if current:
         runs.append("".join(current))
     return runs
-
-
-def iter_chars(text: str) -> Iterator[str]:
-    """Yield the characters of *text*; exists for symmetry and testability."""
-    yield from text
-
-
-def count_punctuation(text: str) -> int:
-    """Count punctuation marks in *text*.
-
-    >>> count_punctuation("hao,ping!!")
-    3
-    """
-    return sum(1 for char in text if char in PUNCTUATION)
 
 
 def join_words(words: Iterable[str], separator: str = "") -> str:

@@ -35,6 +35,8 @@ from repro.core.columnar import (
 )
 from repro.core.features import FeatureExtractor
 from repro.core.interning import TokenInterner
+from tests.oracles.columnar import rehydrate_stats
+from tests.oracles.features import comment_stats_scalar
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -190,7 +192,7 @@ class TestRoundTrip:
         items = {3: texts}
         store, extractor = build_store(analyzer, items, tmp_path)
         reloaded = ColumnarCommentStore.load(tmp_path)
-        rehydrated = reloaded.rehydrate_stats(range(len(texts)))
+        rehydrated = rehydrate_stats(reloaded, range(len(texts)))
         assert rehydrated == extractor.comment_stats_many(texts)
 
     def test_rehydration_skips_resegmentation(
@@ -203,11 +205,11 @@ class TestRoundTrip:
         reloaded = ColumnarCommentStore.load(tmp_path)
         before = analyzer.n_segmentations
         matrix = reloaded.feature_matrix([1, 2])
-        stats = reloaded.rehydrate_stats(range(3))
+        stats = rehydrate_stats(reloaded, range(3))
         assert analyzer.n_segmentations == before
         assert matrix.shape[0] == 2 and len(stats) == 3
         # ... while the live path does segment (counter sanity).
-        extractor.comment_stats_scalar(words[0])
+        comment_stats_scalar(extractor, words[0])
         assert analyzer.n_segmentations == before + 1
 
 
@@ -240,7 +242,7 @@ class TestGuards:
     def test_scalar_path_stats_rejected(self, analyzer, words):
         extractor = FeatureExtractor(analyzer, cache_size=0)
         store = ColumnarCommentStore(analyzer.interner)
-        stats = [extractor.comment_stats_scalar(words[0])]
+        stats = [comment_stats_scalar(extractor, words[0])]
         with pytest.raises(ColumnarStoreError, match="token_ids"):
             store.append([Rec(1, 0, words[0])], stats)
 

@@ -4,7 +4,7 @@ reference.
 The interned fast path (``CommentStats.from_ids`` + batched NB
 sentiment) must produce *exactly* the values of the original
 string-based implementation, which is kept as
-``FeatureExtractor.comment_stats_scalar``.  Every comparison here is
+``tests.oracles.features.comment_stats_scalar``.  Every comparison here is
 ``==`` / ``np.array_equal`` -- no tolerances.
 """
 
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.features import FeatureExtractor, ItemAccumulator
+from tests.oracles.features import comment_stats_scalar
 
 
 def _oov_char(language) -> str:
@@ -58,7 +59,7 @@ class TestCommentStatsBitIdentity:
         extractor = FeatureExtractor(analyzer, cache_size=0)
         assert_stats_equal(
             extractor.comment_stats(text),
-            extractor.comment_stats_scalar(text),
+            comment_stats_scalar(extractor, text),
         )
 
     @given(data=st.data())
@@ -76,21 +77,21 @@ class TestCommentStatsBitIdentity:
         extractor = FeatureExtractor(analyzer, cache_size=0)
         assert_stats_equal(
             extractor.comment_stats(text),
-            extractor.comment_stats_scalar(text),
+            comment_stats_scalar(extractor, text),
         )
 
     def test_empty_comment(self, analyzer):
         extractor = FeatureExtractor(analyzer, cache_size=0)
         assert_stats_equal(
             extractor.comment_stats(""),
-            extractor.comment_stats_scalar(""),
+            comment_stats_scalar(extractor, ""),
         )
 
     def test_punctuation_only_comment(self, analyzer):
         extractor = FeatureExtractor(analyzer, cache_size=0)
         assert_stats_equal(
             extractor.comment_stats(",.!?"),
-            extractor.comment_stats_scalar(",.!?"),
+            comment_stats_scalar(extractor, ",.!?"),
         )
 
     def test_oov_only_comment(self, analyzer, language):
@@ -98,14 +99,14 @@ class TestCommentStatsBitIdentity:
         extractor = FeatureExtractor(analyzer, cache_size=0)
         assert_stats_equal(
             extractor.comment_stats(text),
-            extractor.comment_stats_scalar(text),
+            comment_stats_scalar(extractor, text),
         )
 
     def test_single_word_comment(self, analyzer, words):
         extractor = FeatureExtractor(analyzer, cache_size=0)
         stats = extractor.comment_stats(words[0])
         assert_stats_equal(
-            stats, extractor.comment_stats_scalar(words[0])
+            stats, comment_stats_scalar(extractor, words[0])
         )
         # A single-word comment has zero entropy; the vectorized kernel
         # must not leak a negative zero.
@@ -117,7 +118,7 @@ class TestCommentStatsBitIdentity:
         text = "".join(positive) * 2
         extractor = FeatureExtractor(analyzer, cache_size=0)
         stats = extractor.comment_stats(text)
-        assert_stats_equal(stats, extractor.comment_stats_scalar(text))
+        assert_stats_equal(stats, comment_stats_scalar(extractor, text))
         assert stats.n_positive_distinct > 0
 
 
@@ -138,7 +139,7 @@ class TestBatchBitIdentity:
         batch = extractor.comment_stats_many(texts)
         assert len(batch) == len(texts)
         for text, stats in zip(texts, batch):
-            assert_stats_equal(stats, extractor.comment_stats_scalar(text))
+            assert_stats_equal(stats, comment_stats_scalar(extractor, text))
 
     def test_duplicates_share_the_cached_object(self, analyzer, language):
         texts = self._texts(language, n=5)
@@ -154,7 +155,7 @@ class TestBatchBitIdentity:
         extractor = FeatureExtractor(analyzer)
         accumulator = ItemAccumulator()
         for text in texts:
-            accumulator.add(extractor.comment_stats_scalar(text))
+            accumulator.add(comment_stats_scalar(extractor, text))
         assert np.array_equal(
             extractor.extract(texts), accumulator.to_vector()
         )
@@ -166,7 +167,7 @@ class TestBatchBitIdentity:
         for row, comments in zip(matrix, lists):
             accumulator = ItemAccumulator()
             for text in comments:
-                accumulator.add(extractor.comment_stats_scalar(text))
+                accumulator.add(comment_stats_scalar(extractor, text))
             assert np.array_equal(row, accumulator.to_vector())
 
 

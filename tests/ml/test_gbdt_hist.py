@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.gbdt import (
-    GradientBoostingClassifier,
-    _MAX_BINS,
-    _BinMapper,
+from repro.ml.gbdt import GradientBoostingClassifier, _MAX_BINS, _BinMapper
+from tests.oracles.gbdt import (
     _HistTreeBuilder,
+    first_proven_tie,
+    fit_reference,
 )
 
 
@@ -87,15 +87,21 @@ class TestHistBuilder:
 
 
 def _assert_hist_matches_exact(X, y, **params):
-    exact = GradientBoostingClassifier(tree_method="exact", **params).fit(X, y)
-    hist = GradientBoostingClassifier(tree_method="hist", **params).fit(X, y)
+    """Returns the ``(tree, node)`` of a proven tie, or ``None``."""
+    exact = fit_reference(X, y, builder="exact", **params)
+    hist = GradientBoostingClassifier(**params).fit(X, y)
     # With n_bins >= n_distinct, every exact cut point exists as a bin
     # boundary, so both methods partition the training rows identically
-    # and every leaf carries the same weight.
-    np.testing.assert_array_equal(exact.predict(X), hist.predict(X))
-    np.testing.assert_allclose(
-        exact.predict_proba(X), hist.predict_proba(X), rtol=0, atol=1e-9
-    )
+    # and every leaf carries the same weight -- up to the first split
+    # where two candidates tie in exact gain and the two summation
+    # orders break the tie differently; nothing after it is comparable.
+    tie = first_proven_tie(exact, hist, X)
+    if tie is None:
+        np.testing.assert_array_equal(exact.predict(X), hist.predict(X))
+        np.testing.assert_allclose(
+            exact.predict_proba(X), hist.predict_proba(X), rtol=0, atol=1e-9
+        )
+    return tie
 
 
 class TestHistExactParity:
@@ -117,6 +123,22 @@ class TestHistExactParity:
         _assert_hist_matches_exact(
             X, y, n_estimators=5, max_depth=3, seed=seed
         )
+
+    def test_seed_279_takes_the_tie_branch(self):
+        """Tree 0, root's right child: exact gains for features 0 and 2
+        tie; exact keeps feature 0 and hist picks feature 2."""
+        rng = np.random.default_rng(279)
+        X = rng.integers(0, 5, size=(20, 3)).astype(np.float64)
+        y = rng.integers(0, 2, size=20)
+        tie = _assert_hist_matches_exact(
+            X, y, n_estimators=5, max_depth=3, seed=279
+        )
+        exact = fit_reference(
+            X, y, builder="exact", n_estimators=5, max_depth=3, seed=279
+        )
+        root_right = int(exact.trees_[0].children_right[0])
+        assert tie == (0, root_right)
+        assert exact.trees_[0].feature[root_right] == 0
 
     def test_parity_with_regularization_knobs(self):
         rng = np.random.default_rng(7)
@@ -162,29 +184,23 @@ class TestHistExactParity:
         X_test = rng.normal(size=(1000, f))
         y_test = ((X_test @ w) > 0).astype(int)
         scores = {}
-        for method in ("exact", "hist"):
-            model = GradientBoostingClassifier(
-                n_estimators=15, max_depth=3, tree_method=method, seed=0
-            ).fit(X, y)
+        params = dict(n_estimators=15, max_depth=3, seed=0)
+        for method, model in (
+            ("exact", fit_reference(X, y, builder="exact", **params)),
+            ("hist", GradientBoostingClassifier(**params).fit(X, y)),
+        ):
             scores[method] = f1_score(y_test, model.predict(X_test))
         assert abs(scores["hist"] - scores["exact"]) < 0.02
 
 
 class TestDefaultsAndImportances:
-    def test_default_tree_method_is_hist(self):
-        assert GradientBoostingClassifier().tree_method == "hist"
-
-    def test_invalid_tree_method_rejected(self):
-        with pytest.raises(ValueError):
-            GradientBoostingClassifier(tree_method="approx")
-
     def test_feature_importances_match_across_methods(self):
         rng = np.random.default_rng(4)
         X = rng.integers(0, 6, size=(250, 5)).astype(np.float64)
         y = (X[:, 2] > 2).astype(int)
         kw = dict(n_estimators=5, max_depth=3, seed=2)
-        exact = GradientBoostingClassifier(tree_method="exact", **kw).fit(X, y)
-        hist = GradientBoostingClassifier(tree_method="hist", **kw).fit(X, y)
+        exact = fit_reference(X, y, builder="exact", **kw)
+        hist = GradientBoostingClassifier(**kw).fit(X, y)
         np.testing.assert_array_equal(
             exact.feature_importances("weight"),
             hist.feature_importances("weight"),

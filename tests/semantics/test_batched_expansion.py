@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.semantics.similarity import expand_lexicon
 from repro.semantics.word2vec import Word2Vec, _top_k_filtered
 from repro.text.vocabulary import Vocabulary
+from tests.oracles.similarity import expand_lexicon_reference
 
 
 def make_model(n_words: int, dim: int, seed: int) -> Word2Vec:
@@ -101,24 +102,6 @@ class TestExpandLexiconParity:
             min_similarity=min_similarity,
             max_rounds=6,
         )
-        batched = expand_lexicon(model, seeds, method="batched", **kwargs)
-        reference = expand_lexicon(model, seeds, method="reference", **kwargs)
+        batched = expand_lexicon(model, seeds, **kwargs)
+        reference = expand_lexicon_reference(model, seeds, **kwargs)
         assert batched == reference
-
-    def test_default_method_is_batched(self, recwarn):
-        model = make_model(20, 6, 3)
-        assert expand_lexicon(
-            model, ["w0"], k=4, max_size=10, min_similarity=0.0
-        ) == expand_lexicon(
-            model,
-            ["w0"],
-            k=4,
-            max_size=10,
-            min_similarity=0.0,
-            method="batched",
-        )
-
-    def test_unknown_method_rejected(self):
-        model = make_model(10, 4, 0)
-        with pytest.raises(ValueError):
-            expand_lexicon(model, ["w0"], method="loop")

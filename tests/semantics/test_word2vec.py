@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.semantics.word2vec import Word2Vec
+from tests.oracles.word2vec import epoch_pairs_reference
 
 
 @pytest.fixture(scope="module")
@@ -157,8 +158,8 @@ class TestEpochPairsVectorized:
         fast = model._epoch_pairs(
             encoded, keep_prob, np.random.default_rng(seed)
         )
-        reference = model._epoch_pairs_reference(
-            encoded, keep_prob, np.random.default_rng(seed)
+        reference = epoch_pairs_reference(
+            model, encoded, keep_prob, np.random.default_rng(seed)
         )
         np.testing.assert_array_equal(fast[0], reference[0])
         np.testing.assert_array_equal(fast[1], reference[1])

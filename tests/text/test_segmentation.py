@@ -9,6 +9,7 @@ from repro.text.segmentation import (
     ViterbiSegmenter,
 )
 from repro.text.tokenizer import strip_punctuation
+from tests.oracles.segmentation import segment_run_reference
 
 LEXICON = {
     "haoping": 100,
@@ -156,7 +157,7 @@ class TestDPBufferReuse:
 
         words = []
         for run in split_punctuation(text):
-            words.extend(seg._segment_run_reference(run))
+            words.extend(segment_run_reference(seg, run))
         return words
 
     @given(

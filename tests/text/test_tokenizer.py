@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.text.stats import punctuation_count
 from repro.text.tokenizer import (
     PUNCTUATION,
     SENTENCE_FINAL,
-    count_punctuation,
     is_punctuation,
     join_words,
     split_punctuation,
@@ -71,13 +71,13 @@ class TestSplitPunctuation:
 
 class TestCountPunctuation:
     def test_counts_each_mark(self):
-        assert count_punctuation("a,b!!") == 3
+        assert punctuation_count("a,b!!") == 3
 
     def test_zero_for_clean_text(self):
-        assert count_punctuation("abc") == 0
+        assert punctuation_count("abc") == 0
 
     def test_mixed_width(self):
-        assert count_punctuation("a，b.") == 2
+        assert punctuation_count("a，b.") == 2
 
 
 class TestJoinWords:

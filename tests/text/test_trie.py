@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.text.segmentation import ViterbiSegmenter
 from repro.text.tokenizer import split_punctuation
 from repro.text.trie import Trie
+from tests.oracles.segmentation import segment_run_reference
 
 LEXICON = {
     "haoping": 100,
@@ -120,7 +121,7 @@ class TestTrieViterbiEquivalence:
     def _segment_reference(self, seg: ViterbiSegmenter, text: str):
         words = []
         for run in split_punctuation(text):
-            words.extend(seg._segment_run_reference(run))
+            words.extend(segment_run_reference(seg, run))
         return words
 
     def test_known_ambiguity(self):
