@@ -6,10 +6,11 @@ Measures per-comment analysis throughput in two implementations:
   per-word Python loops, set intersections against the lexicons, one NB
   sentiment call per comment, no cache (the original implementation);
 * **vectorized pipeline** -- ``FeatureExtractor.comment_stats_many``:
-  trie-driven Viterbi segmentation, interned ``int32`` id arrays with
-  lexicon mask gathers, one *batched* NB sentiment call per batch of
-  cache misses, and the shared LRU analysis cache collapsing duplicate
-  texts.
+  the shared LRU analysis cache collapsing duplicate texts, and the
+  chunk kernel (``FeatureExtractor.comment_columns``) over each batch's
+  cache misses -- trie-driven Viterbi segmentation, one interned
+  ``int32`` arena with array-computed stat columns, one *batched* NB
+  sentiment call -- with per-comment objects built from its columns.
 
 The feed replays each distinct comment ``DUPLICATE_FACTOR`` times in
 shuffled order -- the regime the cache is built for (spam campaigns

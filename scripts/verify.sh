@@ -2,7 +2,10 @@
 # One-command builder verification: the tier-1 test suite plus the
 # comment-pipeline, streaming, serving, training and inference smoke
 # benches (which assert the bit-identity and incremental-extraction
-# invariants, not just timings).  Also available as `make verify`.
+# invariants, not just timings), and the benchmark of record's smoke
+# run, which puts both workloads through their correctness gates
+# (probability digests and alert sets against the serial reference,
+# traced and untraced).  Also available as `make verify`.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -35,6 +38,9 @@ python benchmarks/bench_analyze.py --quick
 
 echo "==> end-to-end D1 smoke bench (--quick)"
 python benchmarks/bench_e2e.py --quick
+
+echo "==> benchmark of record smoke run (correctness gates)"
+python perfbench/run.py --smoke
 
 echo "==> tier-1 test suite"
 python -m pytest -x -q

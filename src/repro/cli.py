@@ -663,6 +663,14 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(value: str) -> int:
+    """argparse type: an integer >= 1."""
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -721,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
         "store_dir", help="columnar store output directory"
     )
     analyze.add_argument(
-        "--chunk-size", type=int, default=8192,
+        "--chunk-size", type=_positive_int, default=8192,
         help="analyze comments in batches of this size (bounds peak "
         "memory; the store content is identical for any chunking)",
     )
@@ -750,7 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for feature extraction (default serial)",
     )
     detect.add_argument(
-        "--chunk-size", type=int, default=None,
+        "--chunk-size", type=_positive_int, default=None,
         help="score the classifier in fixed row chunks of this size "
         "(bounds peak memory; results are identical to unchunked)",
     )

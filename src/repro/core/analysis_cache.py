@@ -8,11 +8,15 @@ and a recurring crawl re-surfaces old comments verbatim.  Since
 function of the raw text (given fixed analyzer resources), analyzing a
 duplicate is wasted segmentation and sentiment work.
 
-:class:`AnalysisCache` is a plain LRU keyed by raw comment text.  The
-feature extractor consults it on every path -- batch extraction,
-streaming accumulation and the serving layer all funnel through
-:meth:`FeatureExtractor.comment_stats_many` -- so a comment seen
-anywhere is analyzed at most once while it stays resident.
+:class:`AnalysisCache` is a plain LRU keyed by raw comment text.
+:meth:`FeatureExtractor.comment_stats_many` consults it -- streaming
+accumulation, the serving layer, shadow scoring and ``extract_many``
+all funnel through there -- so a comment seen on those paths is
+analyzed at most once while it stays resident.  The batch store path
+(``append_comments`` and the parallel ``analyze_many``) runs the chunk
+kernel :meth:`FeatureExtractor.comment_columns` directly and neither
+reads nor fills the cache: on a one-pass corpus it would hit too rarely
+to pay for the per-comment objects it needs.
 
 Invalidation rule: cached stats are only valid for the analyzer
 resources they were computed under.  The extractor keys its cache on
@@ -96,26 +100,6 @@ class AnalysisCache:
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
         self._entries.clear()
-
-    def absorb_counters(
-        self, hits: int, misses: int, evictions: int = 0
-    ) -> None:
-        """Fold a worker-side cache's counter deltas into this cache.
-
-        Parallel analysis runs per-worker caches in other processes;
-        merging their hit/miss/eviction deltas here keeps the parent's
-        :meth:`info` (and the serving ``/stats`` gauges built on it)
-        truthful about the total analysis work performed.  Entries are
-        *not* transferred -- only the accounting.
-        """
-        if hits < 0 or misses < 0 or evictions < 0:
-            raise ValueError(
-                f"counter deltas must be >= 0, got hits={hits} "
-                f"misses={misses} evictions={evictions}"
-            )
-        self.hits += hits
-        self.misses += misses
-        self.evictions += evictions
 
     def info(self) -> CacheInfo:
         """Current counters."""

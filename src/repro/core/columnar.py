@@ -77,7 +77,11 @@ from typing import Any
 import numpy as np
 
 from repro.core.features import N_FEATURES, CommentStats
-from repro.core.interning import TokenInterner
+from repro.core.interning import (
+    TokenInterner,
+    gather_ranges,
+    sort_pairs,
+)
 from repro.core.persistence import (
     write_json_atomic,
     write_npy_atomic,
@@ -158,52 +162,6 @@ def _segmented_sequential_sum(
     return out
 
 
-def gather_ranges(
-    values: np.ndarray, starts: np.ndarray, ends: np.ndarray
-) -> np.ndarray:
-    """Concatenate ``values[starts[i]:ends[i]]`` for all ``i``.
-
-    Fully vectorized (cumsum-of-deltas over per-range step arrays);
-    zero-length ranges contribute nothing.  Works on memory-mapped
-    *values* -- only the addressed pages are read.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    ends = np.asarray(ends, dtype=np.int64)
-    lens = ends - starts
-    if np.any(lens < 0):
-        raise ValueError("gather_ranges: end precedes start")
-    keep = lens > 0
-    s, l = starts[keep], lens[keep]
-    if s.size == 0:
-        return np.empty(0, dtype=np.asarray(values).dtype)
-    total = int(l.sum())
-    steps = np.ones(total, dtype=np.int64)
-    heads = np.zeros(len(s), dtype=np.int64)
-    heads[1:] = np.cumsum(l[:-1])
-    steps[heads[0]] = s[0]
-    if len(s) > 1:
-        steps[heads[1:]] = s[1:] - (s[:-1] + l[:-1] - 1)
-    return np.asarray(values)[np.cumsum(steps)]
-
-
-def _distinct_per_segment(
-    tokens: np.ndarray, seg: np.ndarray, n_segments: int
-) -> np.ndarray:
-    """Distinct token count per segment (order-free, exact).
-
-    Sorts (segment, token) pairs and counts boundaries; distinct ids
-    equal distinct words because interning is a bijection.
-    """
-    if tokens.size == 0:
-        return np.zeros(n_segments, dtype=np.int64)
-    order = np.lexsort((tokens, seg))
-    st = seg[order]
-    tt = tokens[order]
-    new = np.ones(len(tt), dtype=bool)
-    new[1:] = (st[1:] != st[:-1]) | (tt[1:] != tt[:-1])
-    return np.bincount(st[new], minlength=n_segments)
-
-
 class _Growable:
     """Amortized-append ``np.ndarray`` (capacity doubling)."""
 
@@ -238,8 +196,10 @@ class ColumnarCommentStore:
     """Append-only columnar storage for analyzed comments.
 
     Build empty against an interner (usually a live analyzer's), feed
-    it every :class:`CommentStats` batch the extractor produces via
-    :meth:`append`, and :meth:`save` it beside the model.  Reopen with
+    it the extractor's analyzed batches -- the chunk kernel's columns
+    via :meth:`append_arrays` (:func:`append_comments`), or the
+    streaming path's :class:`CommentStats` via :meth:`append` -- and
+    :meth:`save` it beside the model.  Reopen with
     :meth:`load` (read-mostly, memory-mapped, frozen interner) or
     :meth:`attach` (appendable, bound to a live analyzer).  See the
     module docstring for layout and crash-safety guarantees.
@@ -530,9 +490,11 @@ class ColumnarCommentStore:
         total_words = int_sum(n_words_rows)
 
         tokens = gather_ranges(self.tokens(), offsets[rows], offsets[rows + 1])
-        token_seg = np.repeat(seg, n_words_rows)
-        distinct = _distinct_per_segment(
-            tokens, token_seg, n_items
+        sorted_seg, _, edges = sort_pairs(
+            tokens, np.repeat(seg, n_words_rows)
+        )
+        distinct = np.bincount(
+            sorted_seg[edges[:-1]], minlength=n_items
         ).astype(np.float64)
 
         n = lens.astype(np.float64)
@@ -801,9 +763,13 @@ def append_comments(
 ) -> int:
     """Analyze *records* through *extractor* and append them in chunks.
 
-    The chunked batching keeps peak memory flat on multi-million-comment
-    datasets while still amortizing sentiment into one NB call per
-    chunk.  Returns the number of rows appended.
+    Each chunk goes through the extractor's chunk kernel
+    (:meth:`~repro.core.features.FeatureExtractor.comment_columns`)
+    straight into :meth:`ColumnarCommentStore.append_arrays`: no
+    per-comment objects, no analysis cache.  The chunked batching keeps
+    peak memory flat on multi-million-comment datasets while still
+    amortizing sentiment into one NB call per chunk.  Returns the
+    number of rows appended.
 
     With ``n_workers > 1`` the chunks are analyzed by the parallel
     sharded engine (:mod:`repro.core.parallel_analysis`) and merged
@@ -825,9 +791,10 @@ def append_comments(
     appended = 0
     for start in range(0, len(records), chunk_size):
         chunk = records[start : start + chunk_size]
-        stats_list = extractor.comment_stats_many(
-            [record.content for record in chunk]
+        store.append_arrays(
+            [int(record.item_id) for record in chunk],
+            [int(record.comment_id) for record in chunk],
+            *extractor.comment_columns([record.content for record in chunk]),
         )
-        store.append(chunk, stats_list)
         appended += len(chunk)
     return appended

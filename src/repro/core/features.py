@@ -32,8 +32,13 @@ Incremental computation
 Every feature above is decomposable into per-comment statistics plus
 running sums over them:
 
+* :meth:`FeatureExtractor.comment_columns` is the one implementation of
+  those statistics: a chunk kernel that turns a batch of texts into the
+  columnar store's payload (interned token arena, offsets and the nine
+  stat columns) with array operations over the whole batch;
 * :class:`CommentStats` captures everything a single comment contributes
-  (one segmentation + one sentiment call, computed exactly once);
+  (one segmentation + one sentiment call, computed exactly once), built
+  from the kernel's columns for the streaming and serving paths;
 * :class:`ItemAccumulator` folds ``CommentStats`` into running sums (and
   a unique-word multiset) so that :meth:`ItemAccumulator.to_vector` is
   O(1) after O(new comments) updates.
@@ -60,18 +65,19 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.analysis_cache import AnalysisCache, CacheInfo
 from repro.core.analyzer import SemanticAnalyzer
-from repro.core.interning import TokenInterner
-from repro.parallel import effective_workers, map_ordered, worker_state
-from repro.text.stats import (
-    entropy_from_counts,
-    punctuation_count,
-    punctuation_ratio,
+from repro.core.interning import (
+    TokenInterner,
+    gather_ranges,
+    sort_pairs,
 )
+from repro.parallel import effective_workers, map_ordered, worker_state
+from repro.text.tokenizer import PUNCTUATION
 
 #: Feature names in column order, spelled as in the paper.
 FEATURE_NAMES: tuple[str, ...] = (
@@ -89,6 +95,26 @@ FEATURE_NAMES: tuple[str, ...] = (
 )
 
 N_FEATURES = len(FEATURE_NAMES)
+
+#: Punctuation membership by code point; the last entry (``False``)
+#: stands for every code point past the table.
+_IS_PUNCTUATION = np.zeros(max(map(ord, PUNCTUATION)) + 2, dtype=bool)
+_IS_PUNCTUATION[[ord(char) for char in PUNCTUATION]] = True
+
+
+class CommentColumns(NamedTuple):
+    """A batch of analyzed comments, one row per input text.
+
+    Exactly the payload :meth:`ColumnarCommentStore.append_arrays
+    <repro.core.columnar.ColumnarCommentStore.append_arrays>` takes
+    after the identity columns: the interned ``int32`` token arena, its
+    ``int64`` offsets (length ``n + 1``, starting at 0) and one array
+    per :data:`~repro.core.columnar.STAT_COLUMN_NAMES` entry.
+    """
+
+    tokens: np.ndarray
+    offsets: np.ndarray
+    columns: dict[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -130,57 +156,37 @@ class CommentStats:
         default=None, compare=False, repr=False
     )
 
-    @classmethod
-    def from_ids(
-        cls,
-        text: str,
-        ids: np.ndarray,
-        interner: TokenInterner,
-        sentiment: float,
-    ) -> "CommentStats":
-        """Vectorized construction from an interned ``int32`` id array.
 
-        *ids* is the comment's segmentation mapped through
-        :meth:`TokenInterner.encode` (length-preserving); *sentiment*
-        is the precomputed ``P(positive)`` (the caller batches
-        sentiment across comments).  Every field is bit-identical to
-        the scalar reference (``tests/oracles/features.py``): integer
-        counts are exact by construction, entropy goes through the
-        shared sorted-counts kernel
-        (:func:`repro.text.stats.entropy_from_counts`), and sentiment
-        shares the NB gather kernel -- the property tests in
-        ``tests/core/test_vectorized_stats.py`` pin this down.
-        """
-        n_words = int(ids.shape[0])
-        unique_ids, counts = np.unique(ids, return_counts=True)
-        word_counts = Counter(
-            dict(
-                zip(interner.decode(unique_ids), (int(c) for c in counts))
-            )
-        )
-        positive_mask = interner.positive_mask
-        n_pos = int(np.count_nonzero(positive_mask[unique_ids]))
-        n_neg = int(np.count_nonzero(interner.negative_mask[unique_ids]))
-        if n_words > 1:
-            hits = positive_mask[ids]
-            n_bigrams_pos = int(np.count_nonzero(hits[:-1] | hits[1:]))
-            bigram_ratio_term = n_bigrams_pos / (n_words - 1)
-        else:
-            n_bigrams_pos = 0
-            bigram_ratio_term = 0.0
-        return cls(
-            n_words=n_words,
-            word_counts=word_counts,
-            n_positive_distinct=n_pos,
-            pos_neg_delta=abs(n_pos - n_neg),
-            sentiment=sentiment,
-            entropy=entropy_from_counts(counts),
-            n_punctuation=punctuation_count(text),
-            punctuation_ratio=punctuation_ratio(text),
-            n_positive_bigrams=n_bigrams_pos,
-            bigram_ratio_term=bigram_ratio_term,
-            token_ids=ids,
-        )
+#: :class:`CommentStats` fields read straight from a stat column, in
+#: field order.
+_COLUMN_FIELDS: tuple[str, ...] = (
+    "n_positive_distinct",
+    "pos_neg_delta",
+    "sentiment",
+    "entropy",
+    "n_punctuation",
+    "punctuation_ratio",
+    "n_positive_bigrams",
+    "bigram_ratio_term",
+)
+
+
+def stats_from_columns(
+    batch: CommentColumns, interner: TokenInterner
+) -> list[CommentStats]:
+    """One :class:`CommentStats` per row of an analyzed batch.
+
+    *batch*'s token ids must be in *interner*'s id space; ``token_ids``
+    are views into the batch arena.
+    """
+    tokens, offsets, columns = batch
+    words = interner.decode(tokens.tolist())
+    bounds = offsets.tolist()
+    values = zip(*(columns[name].tolist() for name in _COLUMN_FIELDS))
+    return [
+        CommentStats(b - a, Counter(words[a:b]), *row, token_ids=tokens[a:b])
+        for a, b, row in zip(bounds, bounds[1:], values)
+    ]
 
 
 @dataclass
@@ -297,16 +303,16 @@ class FeatureExtractor:
         providing segmentation, the P/N lexicons and sentiment scores.
     cache_size:
         Bound on the shared LRU analysis cache keyed by raw comment
-        text (see :mod:`repro.core.analysis_cache`).  ``None`` or
-        ``0`` disables caching (each comment is re-analyzed every
-        time).
+        text (see :mod:`repro.core.analysis_cache`) that
+        :meth:`comment_stats_many` consults.  ``None`` or ``0``
+        disables caching (each comment is re-analyzed every time).
 
-    The per-comment analysis runs on the interned fast path: the
-    segmentation is mapped to an ``int32`` id array once, lexicon
-    membership and entropy are numpy operations over that array, and
-    sentiment is a batched NB gather.  The original string-based
-    implementation is kept as the bit-identical reference in
-    ``tests/oracles/features.py``.
+    The per-comment analysis is one chunk kernel,
+    :meth:`comment_columns`: segmentations are interned to one
+    ``int32`` arena, and lexicon membership, entropy, punctuation and
+    sentiment are array operations over the whole batch.  The original
+    string-based implementation is kept as the bit-identical reference
+    in ``tests/oracles/features.py``.
     """
 
     def __init__(
@@ -341,45 +347,111 @@ class FeatureExtractor:
         if self._cache is not None:
             self._cache.clear()
 
-    def absorb_worker_cache_counters(
-        self, hits: int, misses: int, evictions: int = 0
-    ) -> None:
-        """Fold parallel-worker cache counter deltas into this cache.
-
-        No-op when caching is disabled.  See
-        :meth:`AnalysisCache.absorb_counters`.
-        """
-        if self._cache is not None:
-            self._cache.absorb_counters(hits, misses, evictions)
-
     # -- per-comment statistics -------------------------------------------
 
-    def _analyze(self, text: str, interner: TokenInterner) -> CommentStats:
-        """Segment, intern and score one comment (cache miss path)."""
-        ids = interner.encode(self.analyzer.segment(text))
-        sentiment = self.analyzer.sentiment.score_ids(
-            interner.sentiment_ids[ids]
+    def comment_columns(self, texts: Sequence[str]) -> CommentColumns:
+        """Analyze a batch of raw comments into columns, one row per text.
+
+        The one implementation of the per-comment statistics.  Each
+        distinct text (first occurrence wins) is segmented once and
+        interned in that order, the batch's sentiment is one NB call,
+        and duplicates get their rows by a gather.  The columns come
+        from array operations over the whole batch and equal the scalar
+        reference (``tests/oracles/features.py``) bit for bit: counts
+        are exact, ratios are true divisions of exact integers, and a
+        comment's entropy is its sorted ``p log p`` row reduced by
+        ``.sum(axis=1)`` in a block of comments with as many distinct
+        words -- numpy's pairwise order for a vector of that length,
+        the order :func:`repro.text.stats.entropy_from_counts` sums in.
+        Reads and writes no analysis cache.
+        """
+        analyzer = self.analyzer
+        first: dict[str, int] = {}
+        rows = np.fromiter(
+            (first.setdefault(text, len(first)) for text in texts),
+            dtype=np.int64,
+            count=len(texts),
         )
-        return CommentStats.from_ids(text, ids, interner, sentiment)
+        distinct = list(first)
+        n = len(distinct)
+        segmented = [analyzer.segment(text) for text in distinct]
+        interner = analyzer.interner
+        tokens = interner.encode([w for words in segmented for w in words])
+        n_words = np.fromiter(map(len, segmented), dtype=np.int64, count=n)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(n_words, out=offsets[1:])
+        bounds = offsets.tolist()
+        sentiment_ids = interner.sentiment_ids[tokens]
+        sentiment = analyzer.sentiment.score_ids_many(
+            [sentiment_ids[a:b] for a, b in zip(bounds, bounds[1:])]
+        )
+
+        seg = np.repeat(np.arange(n), n_words)
+        sorted_seg, sorted_tokens, edges = sort_pairs(tokens, seg)
+        starts = edges[:-1]
+        pair_seg, pair_tokens = sorted_seg[starts], sorted_tokens[starts]
+        pair_counts = edges[1:] - starts
+        positive = interner.positive_mask
+        n_pos = np.bincount(pair_seg[positive[pair_tokens]], minlength=n)
+        n_neg = np.bincount(
+            pair_seg[interner.negative_mask[pair_tokens]], minlength=n
+        )
+        hits = positive[tokens]
+        bigram = (hits[1:] | hits[:-1]) & (seg[1:] == seg[:-1])
+        n_bigrams = np.bincount(seg[1:][bigram], minlength=n)
+
+        # Entropy: pairs grouped by distinct-word count k, then comment,
+        # then count ascending, so each k-block reshapes to (m, k) and
+        # its row sums follow numpy's pairwise order for k terms, as
+        # entropy_from_counts does; a sequential or reduceat sum would
+        # round differently from 8 terms on.
+        n_distinct = np.bincount(pair_seg, minlength=n)
+        order = np.lexsort((pair_counts, pair_seg, n_distinct[pair_seg]))
+        p = pair_counts[order] / n_words[pair_seg[order]]
+        terms = p * np.log(p)
+        sizes = np.bincount(n_distinct)
+        sums = np.empty(n)
+        row = pos = 0
+        for k in np.flatnonzero(sizes).tolist():
+            m = int(sizes[k])
+            block = terms[pos : pos + m * k].reshape(m, k)
+            block.sum(axis=1, out=sums[row : row + m])
+            row, pos = row + m, pos + m * k
+        entropy = np.empty(n)
+        entropy[np.argsort(n_distinct, kind="stable")] = -sums + 0.0
+
+        n_chars = np.fromiter(map(len, distinct), dtype=np.int64, count=n)
+        codes = np.frombuffer(
+            "".join(distinct).encode("utf-32-le", "surrogatepass"),
+            dtype=np.uint32,
+        )
+        punct = _IS_PUNCTUATION[np.minimum(codes, len(_IS_PUNCTUATION) - 1)]
+        n_punct = np.bincount(
+            np.repeat(np.arange(n), n_chars)[punct], minlength=n
+        )
+
+        columns = {
+            "n_chars": n_chars.astype(np.int32),
+            "n_positive_distinct": n_pos.astype(np.int32),
+            "pos_neg_delta": np.abs(n_pos - n_neg).astype(np.int32),
+            "n_punctuation": n_punct.astype(np.int32),
+            "n_positive_bigrams": n_bigrams.astype(np.int32),
+            "sentiment": sentiment,
+            "entropy": entropy,
+            # Numerators are 0 where the clamped denominators kick in.
+            "punctuation_ratio": n_punct / np.maximum(n_chars, 1),
+            "bigram_ratio_term": n_bigrams / np.maximum(n_words - 1, 1),
+        }
+        if n < len(texts):
+            tokens = gather_ranges(tokens, offsets[rows], offsets[rows + 1])
+            offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+            np.cumsum(n_words[rows], out=offsets[1:])
+            columns = {name: col[rows] for name, col in columns.items()}
+        return CommentColumns(tokens, offsets, columns)
 
     def comment_stats(self, text: str) -> CommentStats:
-        """Analyze one raw comment into its feature contributions.
-
-        Served from the shared analysis cache when the same text was
-        analyzed before; both the batch and the incremental paths go
-        through here (or :meth:`comment_stats_many`), so a duplicate
-        comment is segmented at most once while cached.
-        """
-        interner = self._interner()
-        cache = self._cache
-        if cache is not None:
-            cached = cache.get(text)
-            if cached is not None:
-                return cached
-        stats = self._analyze(text, interner)
-        if cache is not None:
-            cache.put(text, stats)
-        return stats
+        """Analyze one raw comment: ``comment_stats_many([text])[0]``."""
+        return self.comment_stats_many([text])[0]
 
     def comment_stats_many(
         self,
@@ -388,10 +460,12 @@ class FeatureExtractor:
     ) -> list[CommentStats]:
         """Per-comment statistics for a batch, in input order.
 
-        Entry *i* is the same object :meth:`comment_stats` would
-        return for ``texts[i]``; the batch form segments each
-        *distinct* cache-missing text once and scores all misses'
-        sentiment through one batched NB call.
+        Texts the shared analysis cache holds are served from it; the
+        distinct misses run through :meth:`comment_columns` once, and
+        their objects are built from its columns and cached.  Duplicate
+        texts share one object.  The streaming, serving and
+        ``extract_many`` paths come through here; the batch store path
+        (:func:`repro.core.columnar.append_comments`) does not.
 
         When the executor grants more than one worker the batch is
         analyzed by the parallel sharded engine
@@ -407,43 +481,26 @@ class FeatureExtractor:
             return analyze_stats_many(self, texts, n_workers)
         cache = self._cache
         results: list[CommentStats | None] = [None] * len(texts)
-        computed: dict[str, int] = {}
-        miss_indices: list[int] = []
-        miss_ids: list[np.ndarray] = []
-        miss_sentiment_docs: list[np.ndarray] = []
+        misses: dict[str, None] = {}
         for i, text in enumerate(texts):
-            first = computed.get(text)
-            if first is not None:
-                # Duplicate within this batch: resolved after the
-                # batched sentiment call, from the first occurrence.
+            if text in misses:
                 continue
-            if cache is not None:
-                cached = cache.get(text)
-                if cached is not None:
-                    results[i] = cached
-                    continue
-            computed[text] = i
-            ids = interner.encode(self.analyzer.segment(text))
-            miss_indices.append(i)
-            miss_ids.append(ids)
-            miss_sentiment_docs.append(interner.sentiment_ids[ids])
-        if miss_indices:
-            sentiments = self.analyzer.sentiment.score_ids_many(
-                miss_sentiment_docs
-            )
-            for i, ids, sentiment in zip(
-                miss_indices, miss_ids, sentiments
-            ):
-                stats = CommentStats.from_ids(
-                    texts[i], ids, interner, float(sentiment)
-                )
-                results[i] = stats
-                if cache is not None:
-                    cache.put(texts[i], stats)
-        for i, text in enumerate(texts):
-            if results[i] is None:
-                results[i] = results[computed[text]]
-        return results  # type: ignore[return-value]
+            cached = cache.get(text) if cache is not None else None
+            if cached is None:
+                misses[text] = None
+            else:
+                results[i] = cached
+        if not misses:
+            return results  # type: ignore[return-value]
+        batch = self.comment_columns(list(misses))
+        fresh = dict(zip(misses, stats_from_columns(batch, interner)))
+        if cache is not None:
+            for text, stats in fresh.items():
+                cache.put(text, stats)
+        return [
+            fresh[text] if stats is None else stats
+            for text, stats in zip(texts, results)
+        ]
 
     def make_accumulator(self) -> ItemAccumulator:
         """A fresh, empty per-item accumulator."""

@@ -326,3 +326,53 @@ def remap_ids(ids: np.ndarray, lut: np.ndarray) -> np.ndarray:
             f"token id outside the shard's LUT of {len(lut)} entries"
         )
     return np.take(lut, ids).astype(np.int32, copy=False)
+
+
+# -- token-arena kernels -----------------------------------------------------
+
+
+def gather_ranges(
+    values: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """Concatenate ``values[starts[i]:ends[i]]`` for all ``i``.
+
+    Fully vectorized (cumsum-of-deltas over per-range step arrays);
+    zero-length ranges contribute nothing.  Works on memory-mapped
+    *values* -- only the addressed pages are read.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    lens = ends - starts
+    if np.any(lens < 0):
+        raise ValueError("gather_ranges: end precedes start")
+    keep = lens > 0
+    s, l = starts[keep], lens[keep]
+    if s.size == 0:
+        return np.empty(0, dtype=np.asarray(values).dtype)
+    total = int(l.sum())
+    steps = np.ones(total, dtype=np.int64)
+    heads = np.zeros(len(s), dtype=np.int64)
+    heads[1:] = np.cumsum(l[:-1])
+    steps[heads[0]] = s[0]
+    if len(s) > 1:
+        steps[heads[1:]] = s[1:] - (s[:-1] + l[:-1] - 1)
+    return np.asarray(values)[np.cumsum(steps)]
+
+
+def sort_pairs(
+    tokens: np.ndarray, seg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort ``(segment, token)`` pairs and find the runs of equal pairs.
+
+    Returns the pairs' segments and tokens sorted by segment, then
+    token id, and the run boundaries in that order: run ``j`` (one
+    distinct pair) spans ``edges[j]:edges[j + 1]``.  Distinct ids are
+    distinct words because interning is a bijection, so each run is one
+    distinct word of its segment and its length the word's count.
+    """
+    order = np.lexsort((tokens, seg))
+    st, tt = seg[order], tokens[order]
+    del order  # bounds peak memory on store-sized arenas
+    new = np.ones(len(tt) + 1, dtype=bool)
+    new[1:-1] = (st[1:] != st[:-1]) | (tt[1:] != tt[:-1])
+    return st, tt, np.flatnonzero(new)

@@ -20,10 +20,12 @@ This module parallelizes around that state instead:
    pickled spec (:meth:`~repro.core.analyzer.SemanticAnalyzer.clone_spec`),
    so its **local interner** starts as an exact copy of the parent's
    (``base_vocab`` ids agree by construction) and grows independently;
-3. each chunk comes back as an :class:`AnalysisShard`: a columnar
-   payload (local-id ``int32`` token arena + offsets + the per-comment
-   stat columns) plus the worker vocabulary grown beyond the base and
-   the worker's segmentation/cache counter deltas;
+3. each worker runs the extractor's chunk kernel
+   (:meth:`~repro.core.features.FeatureExtractor.comment_columns`) and
+   returns an :class:`AnalysisShard`: the kernel's columnar payload
+   (local-id ``int32`` token arena + offsets + the nine stat columns)
+   plus the worker vocabulary grown beyond the base and the worker's
+   segmentation count;
 4. the parent merges shards **in chunk order**:
    :func:`~repro.core.interning.merge_interners` adopts each shard's
    new words first-seen-chunk-first (reproducing the serial run's id
@@ -34,9 +36,11 @@ This module parallelizes around that state instead:
 
 The result is **bit-identical** to the serial run for any worker count
 and chunk size: same feature matrix, same interner snapshot, same
-per-item coverage.  Counters are merged back into the parent analyzer
-and cache so ``/stats`` gauges and the zero-resegmentation assertions
-stay truthful under ``--workers``.
+per-item coverage.  Segmentation counts are merged back into the
+parent analyzer so ``/stats`` gauges and the zero-resegmentation
+assertions stay truthful under ``--workers``.  Like the serial batch
+path, the workers build no per-comment objects and never touch the
+analysis cache.
 
 Failure semantics: when the executor clamps the run to one worker the
 serial path runs directly.  If worker processes cannot be spawned at
@@ -67,24 +71,6 @@ ENGINE_STATS = {"parallel_runs": 0, "serial_fallbacks": 0}
 #: Default comments per chunk; matches the store append batching.
 DEFAULT_CHUNK_SIZE = 8192
 
-#: Per-comment stat columns a shard carries, in
-#: :mod:`repro.core.columnar` manifest order (identity, i.e. item/
-#: comment ids and timestamps, is supplied by the parent at append
-#: time).
-SHARD_INT_COLUMNS: tuple[str, ...] = (
-    "n_chars",
-    "n_positive_distinct",
-    "pos_neg_delta",
-    "n_punctuation",
-    "n_positive_bigrams",
-)
-SHARD_FLOAT_COLUMNS: tuple[str, ...] = (
-    "sentiment",
-    "entropy",
-    "punctuation_ratio",
-    "bigram_ratio_term",
-)
-
 
 class ParallelAnalysisError(RuntimeError):
     """A worker died mid-run; no partial results were committed."""
@@ -98,8 +84,7 @@ class AnalysisShard:
     tokens: np.ndarray
     #: Arena offsets, length ``n_comments + 1`` (``offsets[0] == 0``).
     offsets: np.ndarray
-    #: Per-comment stat columns (:data:`SHARD_INT_COLUMNS` as ``int32``,
-    #: :data:`SHARD_FLOAT_COLUMNS` as ``float64``).
+    #: One array per :data:`~repro.core.columnar.STAT_COLUMN_NAMES`.
     columns: dict[str, np.ndarray]
     #: Words the worker interned beyond its cloned base, local-id order.
     #: Cumulative across the worker's earlier chunks -- the shard's LUT
@@ -109,10 +94,6 @@ class AnalysisShard:
     base_vocab: int
     #: Segmentations this chunk cost the worker.
     n_segmentations: int
-    #: Worker cache hit/miss/eviction deltas for this chunk.
-    cache_hits: int
-    cache_misses: int
-    cache_evictions: int
 
     @property
     def n_comments(self) -> int:
@@ -148,64 +129,25 @@ def worker_initargs(extractor) -> tuple[bytes, int | None]:
 def _analyze_chunk_in_state(state: dict, texts: Sequence[str]) -> AnalysisShard:
     """Analyze one chunk under a worker state; emit its columnar shard.
 
-    Runs the exact serial analysis path
-    (:meth:`FeatureExtractor.comment_stats_many`: dedupe, segment,
-    intern, one batched NB sentiment call) and flattens the resulting
-    stats into arrays.  Counter deltas are measured around the call so
-    a worker processing many chunks reports each chunk's own cost.
+    Runs the serial batch path's chunk kernel
+    (:meth:`FeatureExtractor.comment_columns`: dedupe, segment, intern,
+    one batched NB sentiment call, array-computed stat columns) and
+    ships its payload as is.  The segmentation count is measured around
+    the call so a worker processing many chunks reports each chunk's
+    own cost.
     """
     extractor = state["extractor"]
     analyzer = extractor.analyzer
     seg_before = analyzer.n_segmentations
-    info_before = extractor.cache_info()
-    stats_list = extractor.comment_stats_many(list(texts))
-    info_after = extractor.cache_info()
-
-    lens = np.fromiter(
-        (len(s.token_ids) for s in stats_list),
-        dtype=np.int64,
-        count=len(stats_list),
-    )
-    offsets = np.zeros(len(stats_list) + 1, dtype=np.int64)
-    np.cumsum(lens, out=offsets[1:])
-    if int(offsets[-1]):
-        tokens = np.concatenate([s.token_ids for s in stats_list])
-    else:
-        tokens = np.empty(0, dtype=np.int32)
-    columns: dict[str, np.ndarray] = {
-        "n_chars": np.fromiter(
-            (len(t) for t in texts), dtype=np.int32, count=len(texts)
-        )
-    }
-    for name in SHARD_INT_COLUMNS[1:]:
-        columns[name] = np.fromiter(
-            (getattr(s, name) for s in stats_list),
-            dtype=np.int32,
-            count=len(stats_list),
-        )
-    for name in SHARD_FLOAT_COLUMNS:
-        columns[name] = np.fromiter(
-            (getattr(s, name) for s in stats_list),
-            dtype=np.float64,
-            count=len(stats_list),
-        )
+    tokens, offsets, columns = extractor.comment_columns(texts)
     base = state["base_vocab"]
-    if info_before is None or info_after is None:
-        hits = misses = evictions = 0
-    else:
-        hits = info_after.hits - info_before.hits
-        misses = info_after.misses - info_before.misses
-        evictions = info_after.evictions - info_before.evictions
     return AnalysisShard(
-        tokens=np.asarray(tokens, dtype=np.int32),
+        tokens=tokens,
         offsets=offsets,
         columns=columns,
         new_words=analyzer.interner.words_from(base),
         base_vocab=base,
         n_segmentations=analyzer.n_segmentations - seg_before,
-        cache_hits=hits,
-        cache_misses=misses,
-        cache_evictions=evictions,
     )
 
 
@@ -261,17 +203,11 @@ def _run_shards(
 def _merge_shard(extractor, shard: AnalysisShard) -> np.ndarray:
     """Adopt one shard's vocabulary and return its remapped arena.
 
-    Also folds the shard's segmentation and cache counter deltas into
-    the parent analyzer/extractor.
+    Also folds the shard's segmentation count into the parent analyzer.
     """
-    # Bind the cache to the current interner *before* growing it, so a
-    # later serial call sees the same binding and keeps the entries.
-    interner = extractor._interner()
+    interner = extractor.analyzer.interner
     lut = merge_interners(interner, shard.new_words, shard.base_vocab)
     extractor.analyzer.merge_counters(shard.n_segmentations)
-    extractor.absorb_worker_cache_counters(
-        shard.cache_hits, shard.cache_misses, shard.cache_evictions
-    )
     if not shard.new_words and len(interner) == shard.base_vocab:
         # Identity LUT: nothing grew anywhere yet, local ids == merged.
         return shard.tokens
@@ -291,9 +227,9 @@ def analyze_many(
     :func:`repro.core.columnar.append_comments`: same deterministic
     chunking, same analysis, bit-identical store content (token arena,
     stat columns, interner snapshot) for any worker count -- only the
-    ``timestamp`` column (wall clock at append) and the parent cache's
-    *entries* (worker-side analyses are not shipped back as objects)
-    may differ from a serial run.  Returns the number of appended rows.
+    ``timestamp`` column (wall clock at append) may differ from a
+    serial run.  Neither path reads or writes the analysis cache.
+    Returns the number of appended rows.
 
     When the executor would run one worker (``n_workers`` of
     ``None``/``0``/``1``, one usable CPU, or one chunk) the serial path
@@ -336,14 +272,14 @@ def analyze_stats_many(
 
     Analyzes *texts* on workers, merges vocabularies deterministically,
     and rebuilds per-comment :class:`~repro.core.features.CommentStats`
-    in the parent -- field-for-field equal to the serial objects, with
-    ``token_ids`` already in the merged (parent) id space.  Duplicate
-    texts share one stats object, and the parent cache is populated
-    with the rebuilt entries, matching the serial path's behaviour.
+    in the parent with
+    :func:`~repro.core.features.stats_from_columns` -- field-for-field
+    equal to the serial objects, with ``token_ids`` already in the
+    merged (parent) id space.  Duplicate texts share one stats object,
+    and the parent cache is populated with the rebuilt entries,
+    matching the serial path's behaviour.
     """
-    from collections import Counter
-
-    from repro.core.features import CommentStats
+    from repro.core.features import CommentColumns, stats_from_columns
 
     if chunk_size is None:
         # Stats batches are typically served whole: one chunk per
@@ -357,48 +293,15 @@ def analyze_stats_many(
     results: list = []
     by_text: dict[str, object] = {}
     for (start, end), shard in zip(bounds, shards):
-        tokens = _merge_shard(extractor, shard)
-        offsets = shard.offsets
-        columns = shard.columns
-        for j in range(end - start):
-            text = texts[start + j]
-            stats = by_text.get(text)
-            if stats is None:
-                ids = np.asarray(
-                    tokens[offsets[j] : offsets[j + 1]], dtype=np.int32
-                )
-                unique, counts = np.unique(ids, return_counts=True)
-                stats = CommentStats(
-                    n_words=int(ids.shape[0]),
-                    word_counts=Counter(
-                        dict(
-                            zip(
-                                interner.decode(unique),
-                                (int(c) for c in counts),
-                            )
-                        )
-                    ),
-                    n_positive_distinct=int(
-                        columns["n_positive_distinct"][j]
-                    ),
-                    pos_neg_delta=int(columns["pos_neg_delta"][j]),
-                    sentiment=float(columns["sentiment"][j]),
-                    entropy=float(columns["entropy"][j]),
-                    n_punctuation=int(columns["n_punctuation"][j]),
-                    punctuation_ratio=float(
-                        columns["punctuation_ratio"][j]
-                    ),
-                    n_positive_bigrams=int(
-                        columns["n_positive_bigrams"][j]
-                    ),
-                    bigram_ratio_term=float(
-                        columns["bigram_ratio_term"][j]
-                    ),
-                    token_ids=ids,
-                )
+        batch = CommentColumns(
+            _merge_shard(extractor, shard), shard.offsets, shard.columns
+        )
+        for text, stats in zip(
+            texts[start:end], stats_from_columns(batch, interner)
+        ):
+            if text not in by_text:
                 by_text[text] = stats
                 if cache is not None:
                     cache.put(text, stats)
-            results.append(stats)
+            results.append(by_text[text])
     return results
-

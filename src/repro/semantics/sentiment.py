@@ -81,9 +81,9 @@ class SentimentModel:
         """``P(positive)`` from an array of NB-vocabulary token ids.
 
         Ids of ``-1`` mark words outside the sentiment vocabulary and
-        are ignored -- the interned fast path
-        (:meth:`repro.core.features.CommentStats.from_ids`) maps
-        segmenter output to these ids once and scores without
+        are ignored -- the comment-analysis kernel
+        (:meth:`repro.core.features.FeatureExtractor.comment_columns`)
+        maps segmenter output to these ids once and scores without
         re-encoding strings.  Bit-identical to :meth:`score` on the
         corresponding word sequence.
         """

@@ -20,12 +20,14 @@ from repro.text.tokenizer import PUNCTUATION
 def entropy_from_counts(counts: np.ndarray) -> float:
     """Shannon entropy (nats) of a vector of occurrence counts.
 
-    This is the single entropy kernel shared by the scalar
-    (:func:`comment_entropy`) and vectorized
-    (:meth:`repro.core.features.CommentStats.from_ids`) analysis paths.
-    The counts are sorted before the reduction so the float summation
-    order depends only on the count *multiset*, never on word insertion
-    or token-id order -- that is what makes the two paths bit-identical.
+    The entropy definition behind :func:`comment_entropy`.  The counts
+    are sorted before the reduction so the float summation order
+    depends only on the count *multiset*, never on word insertion or
+    token-id order.  The batch kernel
+    (:meth:`repro.core.features.FeatureExtractor.comment_columns`)
+    reproduces it bit for bit: it sorts each comment's counts the same
+    way and reduces comments with equal distinct-word counts as rows
+    of one matrix, which numpy sums in the same pairwise order.
     """
     if len(counts) == 0:
         return 0.0

@@ -7,21 +7,19 @@ feature matrix (``np.array_equal``), and a byte-identical interner
 snapshot -- and a worker dying mid-run fails loudly with *nothing*
 appended, never a partial store.
 
-Parity is property-tested with :func:`simulated_pool`, an in-process
-stand-in for the executor's process pool that runs the exact worker
-code (initializer-cloned analyzer, cumulative local interner, shard
-emission) minus the process spawn -- chunk scheduling, vocabulary
+Parity is property-tested with :func:`tests.pools.simulated_pool`, an
+in-process stand-in for the executor's process pool that runs the exact
+worker code (initializer-cloned analyzer, cumulative local interner,
+shard emission) minus the process spawn -- chunk scheduling, vocabulary
 growth across chunk boundaries, and the deterministic merge are all
 real.  Real process pools get a smoke test and the killed-worker test.
 """
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import os
 from dataclasses import dataclass
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,6 +41,7 @@ from repro.core.parallel_analysis import (
     analyze_many,
     analyze_stats_many,
 )
+from tests.pools import simulated_pool
 
 #: Non-timestamp columns that must match bit for bit between serial and
 #: parallel stores (timestamps are wall clock at append).
@@ -68,41 +67,6 @@ class Rec:
     item_id: int
     comment_id: int
     content: str
-
-
-class SimulatedPool:
-    """In-process ``ProcessPoolExecutor`` stand-in: one initializer-built
-    state per simulated worker, tasks dealt round-robin, so one worker
-    sees several chunks exactly like a real pool worker would."""
-
-    def __init__(self, max_workers, initializer, initargs):
-        self.states = []
-        for _ in range(max_workers):
-            initializer(*initargs)
-            self.states.append(parallel.worker_state())
-        parallel._STATE = None
-
-    def map(self, fn, tasks):
-        results = []
-        for i, task in enumerate(tasks):
-            parallel._STATE = self.states[i % len(self.states)]
-            results.append(fn(task))
-        parallel._STATE = None
-        return iter(results)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return None
-
-
-@contextlib.contextmanager
-def simulated_pool():
-    """Run the executor's pool in-process, any worker count honoured."""
-    with mock.patch.object(parallel, "ProcessPoolExecutor", SimulatedPool):
-        with mock.patch.object(parallel, "usable_cpus", lambda: 64):
-            yield
 
 
 @pytest.fixture(scope="module")
@@ -308,29 +272,31 @@ class TestCounterMerge:
         # behalf; the merged counter reports that work.
         assert clone.n_segmentations >= len(set(texts))
 
-    def test_cache_counters_folded_into_parent(self, spec, words):
-        # Every chunk holds the same text, so each worker's second chunk
-        # is answered from its local cache.
-        texts = [words[0] + words[1]] * 20
-        records = make_records(texts)
-        _, extractor, store = fresh(spec)
-        with simulated_pool():
-            analyze_many(
-                store, extractor, records, n_workers=2, chunk_size=5
-            )
-        info = extractor.cache_info()
-        # Worker-local hits and misses land in the parent's gauges.
-        assert info.misses > 0
-        assert info.hits > 0
-
     def test_merge_counters_rejects_negative(self, analyzer):
         with pytest.raises(ValueError):
             analyzer.merge_counters(-1)
 
-    def test_absorb_counters_rejects_negative(self, spec):
-        _, extractor, _ = fresh(spec)
-        with pytest.raises(ValueError):
-            extractor.absorb_worker_cache_counters(-1, 0)
+
+class TestBatchPathSkipsObjectsAndCache:
+    @pytest.mark.parametrize("n_workers", [1, 3])
+    def test_append_builds_no_stats_and_never_touches_the_cache(
+        self, spec, words, monkeypatch, n_workers
+    ):
+        from repro.core import features
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the batch path built CommentStats")
+
+        monkeypatch.setattr(features, "stats_from_columns", forbidden)
+        records = make_records([words[0], words[1] * 2, words[0]] * 3)
+        _, extractor, store = fresh(spec)
+        with simulated_pool():
+            analyze_many(
+                store, extractor, records, n_workers=n_workers, chunk_size=2
+            )
+        assert store.n_comments == len(records)
+        info = extractor.cache_info()
+        assert (info.hits, info.misses, info.size) == (0, 0, 0)
 
 
 class TestStatsMany:

@@ -1,19 +1,32 @@
 """Bit-identity of the vectorized analysis path against the scalar
 reference.
 
-The interned fast path (``CommentStats.from_ids`` + batched NB
+The chunk kernel (``FeatureExtractor.comment_columns``, with batched NB
 sentiment) must produce *exactly* the values of the original
 string-based implementation, which is kept as
-``tests.oracles.features.comment_stats_scalar``.  Every comparison here is
-``==`` / ``np.array_equal`` -- no tolerances.
+``tests.oracles.features.comment_stats_scalar`` -- both as the objects
+``comment_stats_many`` builds from its columns and as the rows
+``append_comments`` stores, serially and on the parallel engine.  Every
+comparison here is ``==`` / ``np.array_equal`` -- no tolerances.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.analyzer import SemanticAnalyzer
+from repro.core.columnar import ColumnarCommentStore, append_comments
 from repro.core.features import FeatureExtractor, ItemAccumulator
+from repro.core.parallel_analysis import analyze_many
 from tests.oracles.features import comment_stats_scalar
+from tests.pools import simulated_pool
+
+#: Distinct-word counts around the points where numpy's pairwise sum
+#: changes order: the 8-way unroll starts at 8 terms, and vectors past
+#: 128 terms are split into blocks.
+DISTINCT_COUNTS = (1, 7, 8, 9, 127, 128, 129, 200)
 
 
 def _oov_char(language) -> str:
@@ -206,3 +219,138 @@ class TestBatchedSentimentBitIdentity:
         assert [float(p) for p in batch] == [
             sentiment.score_ids(doc) for doc in docs
         ]
+
+
+@pytest.fixture(scope="module")
+def private_analyzer(analyzer) -> SemanticAnalyzer:
+    """A clone, so the lone surrogate below never reaches the shared
+    analyzer's interner (stores written from it would carry it)."""
+    return SemanticAnalyzer.from_spec(analyzer.clone_spec())
+
+
+@pytest.fixture(scope="module")
+def solo_words(private_analyzer, language) -> list[str]:
+    """Dictionary words that segment to themselves when alone."""
+    solo = [
+        word
+        for word in sorted(language.dictionary_weights())
+        if private_analyzer.segment(word) == [word]
+    ]
+    assert len(solo) >= max(DISTINCT_COUNTS)
+    return solo
+
+
+def wide_comment(solo_words, k: int) -> str:
+    """A comment of exactly *k* distinct words with uneven counts.
+
+    Whitespace separates the words, so each segments alone; the uneven
+    counts make the entropy terms differ, so summation order shows.
+    """
+    words = [
+        word
+        for i, word in enumerate(solo_words[:k])
+        for _ in range(1 + i % 3)
+    ]
+    return " ".join(words) + "!"
+
+
+@pytest.fixture(scope="module")
+def edge_texts(solo_words) -> list[str]:
+    return [
+        f"{solo_words[0]}\ud83d{solo_words[1]}",  # lone surrogate
+        f"{solo_words[2]}\U0001f600{solo_words[3]},",  # non-BMP char
+        "  \t ",  # whitespace only
+        ",.!?\u3002",  # punctuation only
+        "",
+    ]
+
+
+@pytest.fixture(scope="module")
+def boundary_batch(solo_words, edge_texts) -> list[str]:
+    """Wide comments, edge texts, and duplicates of both."""
+    wide = [wide_comment(solo_words, k) for k in DISTINCT_COUNTS]
+    return wide + edge_texts + wide[::3] + edge_texts[:2]
+
+
+class TestSummationBoundaries:
+    @pytest.mark.parametrize("k", DISTINCT_COUNTS)
+    def test_wide_comment_matches_scalar(
+        self, private_analyzer, solo_words, k
+    ):
+        text = wide_comment(solo_words, k)
+        extractor = FeatureExtractor(private_analyzer, cache_size=0)
+        stats = extractor.comment_stats(text)
+        assert len(stats.word_counts) == k
+        assert stats == comment_stats_scalar(extractor, text)
+
+    def test_edge_texts_match_scalar(self, private_analyzer, edge_texts):
+        extractor = FeatureExtractor(private_analyzer, cache_size=0)
+        for text in edge_texts:
+            assert extractor.comment_stats(text) == comment_stats_scalar(
+                extractor, text
+            )
+
+    def test_comment_stats_many_matches_scalar(
+        self, private_analyzer, boundary_batch
+    ):
+        extractor = FeatureExtractor(private_analyzer)
+        batch = extractor.comment_stats_many(boundary_batch)
+        for text, stats in zip(boundary_batch, batch):
+            assert stats == comment_stats_scalar(extractor, text)
+            assert stats is batch[boundary_batch.index(text)]
+
+
+def _records(texts):
+    return [
+        SimpleNamespace(item_id=i // 4, comment_id=i, content=text)
+        for i, text in enumerate(texts)
+    ]
+
+
+def _assert_rows_match_scalar(store, extractor, texts):
+    interner = store.interner
+    for row, text in enumerate(texts):
+        expected = comment_stats_scalar(extractor, text)
+        ids = store.token_ids(row)
+        assert interner.decode(ids) == extractor.analyzer.segment(text)
+        assert store.column("n_chars")[row] == len(text)
+        for name in (
+            "n_positive_distinct",
+            "pos_neg_delta",
+            "n_punctuation",
+            "n_positive_bigrams",
+            "sentiment",
+            "entropy",
+            "punctuation_ratio",
+            "bigram_ratio_term",
+        ):
+            assert store.column(name)[row] == getattr(expected, name), name
+
+
+class TestAppendBoundaries:
+    @pytest.mark.parametrize("chunk_size", [3, 8192])
+    def test_serial_store_matches_scalar(
+        self, private_analyzer, boundary_batch, chunk_size
+    ):
+        extractor = FeatureExtractor(private_analyzer)
+        store = ColumnarCommentStore(private_analyzer.interner)
+        append_comments(
+            store, extractor, _records(boundary_batch), chunk_size=chunk_size
+        )
+        _assert_rows_match_scalar(store, extractor, boundary_batch)
+
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    def test_parallel_store_matches_scalar(
+        self, private_analyzer, boundary_batch, n_workers
+    ):
+        extractor = FeatureExtractor(private_analyzer)
+        store = ColumnarCommentStore(private_analyzer.interner)
+        with simulated_pool():
+            analyze_many(
+                store,
+                extractor,
+                _records(boundary_batch),
+                n_workers=n_workers,
+                chunk_size=4,
+            )
+        _assert_rows_match_scalar(store, extractor, boundary_batch)

@@ -1,6 +1,6 @@
 """String-based per-comment analysis: the reference for
-:class:`repro.core.features.FeatureExtractor`'s interned fast path
-(``CommentStats.from_ids`` plus batched NB sentiment)."""
+:class:`repro.core.features.FeatureExtractor`'s chunk kernel
+(``FeatureExtractor.comment_columns`` plus batched NB sentiment)."""
 
 from __future__ import annotations
 

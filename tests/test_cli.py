@@ -33,6 +33,21 @@ class TestParser:
                 ["crawl", "/tmp/d", "--platform", "amazon"]
             )
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["analyze", "detect"])
+    def test_non_positive_chunk_size_is_a_usage_error(
+        self, tmp_path, capsys, command, value
+    ):
+        # Rejected while parsing: nothing is loaded or analyzed first.
+        dirs = [str(tmp_path / name) for name in ("model", "data", "store")]
+        argv = [command, *dirs[: 3 if command == "analyze" else 2]]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--chunk-size", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"--chunk-size: must be >= 1, got {value}" in err
+
 
 class TestCrawlCommand:
     def test_crawl_writes_dataset(self, tmp_path, capsys):
