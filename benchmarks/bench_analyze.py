@@ -27,21 +27,19 @@ Run standalone:
     PYTHONPATH=src python benchmarks/bench_analyze.py --quick
 
 ``--quick`` shrinks the model and corpus for the CI smoke check (see
-``scripts/verify.sh``) and writes ``BENCH_analyze_quick.json`` beside
-the full-scale artifact instead of clobbering it.
+``scripts/verify.sh``) and writes only the git-ignored ``*_quick.*``
+files (``benchutil.write_outputs``), never the full-scale artifact.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-from benchutil import peak_rss_mib
+from benchutil import peak_rss_mib, write_outputs
 
 from repro import parallel
 from repro.analysis.reporting import render_table
@@ -50,8 +48,6 @@ from repro.core.columnar import ColumnarCommentStore, append_comments
 from repro.core.features import FeatureExtractor
 from repro.core.parallel_analysis import analyze_many
 
-RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
 
 #: Acceptance floor: comments/sec at 4 workers over serial, enforced
 #: only on hosts with >= 4 CPUs (see module docstring).
@@ -216,22 +212,6 @@ def render(result: dict) -> str:
     )
 
 
-def write_outputs(result: dict) -> None:
-    """Full runs own ``BENCH_analyze.json`` (the checked-in artifact);
-    quick smoke runs write alongside it so they never clobber the
-    full-scale numbers."""
-    payload = json.dumps(result, indent=2) + "\n"
-    name = (
-        "BENCH_analyze_quick.json"
-        if result["quick"]
-        else "BENCH_analyze.json"
-    )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / name).write_text(payload, encoding="utf-8")
-    if not result["quick"]:
-        (REPO_ROOT / name).write_text(payload, encoding="utf-8")
-
-
 def check_acceptance(result: dict) -> None:
     assert result["bit_identical"]
     if result["scaling"]["floor_enforced"]:
@@ -244,13 +224,10 @@ def check_acceptance(result: dict) -> None:
 
 def test_analyze(benchmark):
     """Harness entry: same measurement inside the pytest bench run."""
-    from conftest import write_result
-
     result = benchmark.pedantic(
         lambda: run(quick=True), rounds=1, iterations=1
     )
-    write_outputs(result)
-    write_result("analyze", render(result))
+    write_outputs("analyze", render(result), True, "analyze", result)
     check_acceptance(result)
 
 
@@ -270,17 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     result = run(args.quick, scale=args.scale)
-    write_outputs(result)
-    text = render(result)
-    (RESULTS_DIR / "analyze.txt").write_text(text + "\n", encoding="utf-8")
-    print(text)
-    written = (
-        str(RESULTS_DIR / "BENCH_analyze_quick.json")
-        if args.quick
-        else f"{RESULTS_DIR / 'BENCH_analyze.json'} and "
-        f"{REPO_ROOT / 'BENCH_analyze.json'}"
-    )
-    print(f"\nwrote {written}", file=sys.stderr)
+    write_outputs("analyze", render(result), args.quick, "analyze", result)
     check_acceptance(result)
     return 0
 

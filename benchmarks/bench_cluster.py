@@ -36,7 +36,8 @@ Run standalone:
 ``--quick`` shrinks the model, feed and request counts for the CI
 smoke check (see ``scripts/verify.sh``).  Results go to
 ``BENCH_cluster.json`` at the repo root and under
-``benchmarks/results/``.
+``benchmarks/results/``; quick runs write only the git-ignored
+``*_quick.*`` files (``benchutil.write_outputs``).
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import argparse
 import http.client
 import json
 import math
-import os
 import shutil
 import sys
 import tempfile
@@ -55,12 +55,12 @@ from pathlib import Path
 
 from repro.analysis.reporting import render_table
 from repro.core.persistence import save_cats
+from repro.parallel import usable_cpus
 from repro.serving.cluster import ShardCluster
 
+from benchutil import write_outputs
 from bench_serving_throughput import build_system, item_feed
 
-RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
 
 #: Acceptance floor: 4-shard rps over 1-shard rps (enforced only when
 #: the host has at least 4 CPUs; see module docstring).
@@ -73,13 +73,6 @@ WORKER_ARGS = (
     "--queue-depth", "512",
     "--rescore-growth", "1.25",
 )
-
-
-def n_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux fallback
-        return os.cpu_count() or 1
 
 
 def percentile(samples: list[float], q: float) -> float:
@@ -226,7 +219,7 @@ def run(quick: bool) -> dict:
 
     workdir = Path(tempfile.mkdtemp(prefix="bench-cluster-"))
     result: dict = {
-        "n_cpus": n_cpus(),
+        "n_cpus": usable_cpus(),
         "n_items": len(item_ids),
         "feed_records": len(feed),
         "n_clients": n_clients,
@@ -363,15 +356,6 @@ def render(result: dict) -> str:
     )
 
 
-def write_outputs(result: dict) -> None:
-    payload = json.dumps(result, indent=2) + "\n"
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_cluster.json").write_text(
-        payload, encoding="utf-8"
-    )
-    (REPO_ROOT / "BENCH_cluster.json").write_text(payload, encoding="utf-8")
-
-
 def check_acceptance(result: dict) -> None:
     assert result["identical_across_shard_counts"]
     assert result["recovery"]["bit_identical"]
@@ -400,16 +384,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     result = run(args.quick)
-    write_outputs(result)
-    text = render(result)
-    (RESULTS_DIR / "cluster_serving.txt").write_text(
-        text + "\n", encoding="utf-8"
-    )
-    print(text)
-    print(
-        f"\nwrote {RESULTS_DIR / 'BENCH_cluster.json'} and "
-        f"{REPO_ROOT / 'BENCH_cluster.json'}",
-        file=sys.stderr,
+    write_outputs(
+        "cluster_serving", render(result), args.quick, "cluster", result
     )
     check_acceptance(result)
     return 0

@@ -27,7 +27,8 @@ The benchmark *asserts* correctness before it reports timings:
   reference on the duplicate-heavy feed.
 
 Results are written to ``BENCH_pipeline.json`` at the repo root and
-under ``benchmarks/results/``.
+under ``benchmarks/results/``; quick runs write only the git-ignored
+``*_quick.*`` files (``benchutil.write_outputs``).
 
 Run standalone:
 
@@ -40,17 +41,17 @@ Run standalone:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from benchutil import write_outputs
+
 from repro.analysis.reporting import render_table
 from repro.core.features import FeatureExtractor, ItemAccumulator
 
-RESULTS_DIR = Path(__file__).parent / "results"
 REPO_ROOT = Path(__file__).parent.parent
 
 # The reference implementations live in tests/oracles; a standalone
@@ -215,17 +216,6 @@ def render(result: dict) -> str:
     )
 
 
-def write_outputs(result: dict) -> None:
-    payload = json.dumps(result, indent=2) + "\n"
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_pipeline.json").write_text(
-        payload, encoding="utf-8"
-    )
-    (REPO_ROOT / "BENCH_pipeline.json").write_text(
-        payload, encoding="utf-8"
-    )
-
-
 def check_speedup(result: dict) -> None:
     assert result["speedup"] >= MIN_SPEEDUP, (
         f"vectorized pipeline only {result['speedup']}x the scalar "
@@ -235,8 +225,6 @@ def check_speedup(result: dict) -> None:
 
 def test_comment_pipeline(benchmark, cats, d1):
     """Harness entry: same measurement inside the pytest bench run."""
-    from conftest import write_result
-
     texts = comment_feed(d1, n_distinct=600)
     extractor = FeatureExtractor(cats.analyzer)
     benchmark.pedantic(
@@ -245,8 +233,7 @@ def test_comment_pipeline(benchmark, cats, d1):
         iterations=1,
     )
     result = run(quick=True)
-    write_outputs(result)
-    write_result("comment_pipeline", render(result))
+    write_outputs("comment_pipeline", render(result), True, "pipeline", result)
     check_speedup(result)
 
 
@@ -260,16 +247,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     result = run(args.quick)
-    write_outputs(result)
-    text = render(result)
-    (RESULTS_DIR / "comment_pipeline.txt").write_text(
-        text + "\n", encoding="utf-8"
-    )
-    print(text)
-    print(
-        f"\nwrote {RESULTS_DIR / 'BENCH_pipeline.json'} and "
-        f"{REPO_ROOT / 'BENCH_pipeline.json'}",
-        file=sys.stderr,
+    write_outputs(
+        "comment_pipeline", render(result), args.quick, "pipeline", result
     )
     check_speedup(result)
     return 0

@@ -46,14 +46,13 @@ Run standalone:
     PYTHONPATH=src python benchmarks/bench_e2e.py --quick
 
 ``--quick`` shrinks the model and D1 slice for the CI smoke check (see
-``scripts/verify.sh``) and writes ``BENCH_e2e_quick.json`` beside the
-full-scale artifact instead of clobbering it.
+``scripts/verify.sh``) and writes only the git-ignored ``*_quick.*``
+files (``benchutil.write_outputs``), never the full-scale artifact.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -62,14 +61,12 @@ from pathlib import Path
 
 import numpy as np
 
-from benchutil import peak_rss_mib
+from benchutil import peak_rss_mib, write_outputs
 
 from repro.analysis.reporting import render_table
 from repro.core.columnar import ColumnarCommentStore, append_comments
 from repro.core.features import FeatureExtractor
 
-RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
 
 #: Rows per scoring chunk -- the deployment default (matches
 #: bench_table6).
@@ -301,18 +298,6 @@ def render(result: dict) -> str:
     )
 
 
-def write_outputs(result: dict) -> None:
-    """Full runs own ``BENCH_e2e.json`` (the checked-in artifact); quick
-    smoke runs write alongside it so they never clobber the full-scale
-    numbers."""
-    payload = json.dumps(result, indent=2) + "\n"
-    name = "BENCH_e2e_quick.json" if result["quick"] else "BENCH_e2e.json"
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / name).write_text(payload, encoding="utf-8")
-    if not result["quick"]:
-        (REPO_ROOT / name).write_text(payload, encoding="utf-8")
-
-
 def check_acceptance(result: dict) -> None:
     assert result["bit_identical"]
     assert result["rehydrate_speedup"] >= MIN_REHYDRATE_SPEEDUP, (
@@ -323,13 +308,10 @@ def check_acceptance(result: dict) -> None:
 
 def test_e2e(benchmark):
     """Harness entry: same measurement inside the pytest bench run."""
-    from conftest import write_result
-
     result = benchmark.pedantic(
         lambda: run(quick=True), rounds=1, iterations=1
     )
-    write_outputs(result)
-    write_result("e2e", render(result))
+    write_outputs("e2e", render(result), True, "e2e", result)
     check_acceptance(result)
 
 
@@ -349,17 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     result = run(args.quick, scale=args.scale)
-    write_outputs(result)
-    text = render(result)
-    (RESULTS_DIR / "e2e.txt").write_text(text + "\n", encoding="utf-8")
-    print(text)
-    written = (
-        str(RESULTS_DIR / "BENCH_e2e_quick.json")
-        if args.quick
-        else f"{RESULTS_DIR / 'BENCH_e2e.json'} and "
-        f"{REPO_ROOT / 'BENCH_e2e.json'}"
-    )
-    print(f"\nwrote {written}", file=sys.stderr)
+    write_outputs("e2e", render(result), args.quick, "e2e", result)
     check_acceptance(result)
     return 0
 

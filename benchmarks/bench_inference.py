@@ -17,7 +17,8 @@ The benchmark *asserts* bit-identity before it reports timings:
   arena setup amortizes over rows).
 
 Results are written to ``BENCH_inference.json`` at the repo root and
-under ``benchmarks/results/``.
+under ``benchmarks/results/``; quick runs write only the git-ignored
+``*_quick.*`` files (``benchutil.write_outputs``).
 
 Run standalone:
 
@@ -31,19 +32,19 @@ batch.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from benchutil import write_outputs
+
 from repro import parallel
 from repro.analysis.reporting import render_table
 from repro.core.detector import Detector
 from repro.ml import GradientBoostingClassifier
 
-RESULTS_DIR = Path(__file__).parent / "results"
 REPO_ROOT = Path(__file__).parent.parent
 
 # The reference implementations live in tests/oracles; a standalone
@@ -155,22 +156,6 @@ def render(result: dict) -> str:
     )
 
 
-def write_outputs(result: dict) -> None:
-    """Full runs own ``BENCH_inference.json`` (the checked-in artifact);
-    quick smoke runs write alongside it so they never clobber the
-    full-scale numbers."""
-    payload = json.dumps(result, indent=2) + "\n"
-    name = (
-        "BENCH_inference_quick.json"
-        if result["quick"]
-        else "BENCH_inference.json"
-    )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / name).write_text(payload, encoding="utf-8")
-    if not result["quick"]:
-        (REPO_ROOT / name).write_text(payload, encoding="utf-8")
-
-
 def check_acceptance(result: dict) -> None:
     floor = MIN_SPEEDUP_QUICK if result["quick"] else MIN_SPEEDUP
     assert result["speedup"] >= floor, (
@@ -182,13 +167,12 @@ def check_acceptance(result: dict) -> None:
 
 def test_inference_engine(benchmark):
     """Harness entry: same measurement inside the pytest bench run."""
-    from conftest import write_result
-
     result = benchmark.pedantic(
         lambda: run(quick=True), rounds=1, iterations=1
     )
-    write_outputs(result)
-    write_result("inference_engine", render(result))
+    write_outputs(
+        "inference_engine", render(result), True, "inference", result
+    )
     check_acceptance(result)
 
 
@@ -202,19 +186,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     result = run(args.quick)
-    write_outputs(result)
-    text = render(result)
-    (RESULTS_DIR / "inference_engine.txt").write_text(
-        text + "\n", encoding="utf-8"
+    write_outputs(
+        "inference_engine", render(result), args.quick, "inference", result
     )
-    print(text)
-    written = (
-        str(RESULTS_DIR / "BENCH_inference_quick.json")
-        if args.quick
-        else f"{RESULTS_DIR / 'BENCH_inference.json'} and "
-        f"{REPO_ROOT / 'BENCH_inference.json'}"
-    )
-    print(f"\nwrote {written}", file=sys.stderr)
     check_acceptance(result)
     return 0
 

@@ -16,7 +16,8 @@ benchmark *asserts* their per-item probabilities are identical, then
 asserts the acceptance criterion: micro-batched throughput must be at
 least ``MIN_SPEEDUP`` (2x) the baseline.  Results (req/s, p50/p99 batch
 latency) are written to ``BENCH_serving.json`` at the repo root and
-under ``benchmarks/results/``.
+under ``benchmarks/results/``; quick runs write only the git-ignored
+``*_quick.*`` files (``benchutil.write_outputs``).
 
 Run standalone:
 
@@ -29,18 +30,17 @@ Run standalone:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import threading
 import time
-from pathlib import Path
+
+from benchutil import write_outputs
 
 from repro.analysis.reporting import render_table
 from repro.collector.records import CommentRecord
+from repro.parallel import usable_cpus
 from repro.serving import DetectionService
 
-RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
 
 #: Acceptance floor: micro-batched req/s over one-at-a-time req/s.
 MIN_SPEEDUP = 2.0
@@ -112,7 +112,7 @@ def make_service(cats, feed, **kwargs) -> DetectionService:
     """A started service pre-loaded with *feed* (ingest not measured)."""
     service = DetectionService(cats, rescore_growth=1.25, **kwargs).start()
     for start in range(0, len(feed), 200):
-        service.ingest(feed[start : start + 200])
+        service.feed(feed[start : start + 200])
     return service
 
 
@@ -202,6 +202,7 @@ def run(quick: bool, rounds: int) -> dict:
     baseline_rps = n_requests / baseline_elapsed
     batched_rps = n_requests / batched_elapsed
     result = {
+        "n_cpus": usable_cpus(),
         "n_items": len(item_ids),
         "n_requests": n_requests,
         "feed_records": len(feed),
@@ -225,15 +226,6 @@ def render(result: dict) -> str:
     )
 
 
-def write_outputs(result: dict) -> None:
-    payload = json.dumps(result, indent=2) + "\n"
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_serving.json").write_text(
-        payload, encoding="utf-8"
-    )
-    (REPO_ROOT / "BENCH_serving.json").write_text(payload, encoding="utf-8")
-
-
 def check_speedup(result: dict) -> None:
     assert result["speedup"] >= MIN_SPEEDUP, (
         f"micro-batched throughput only {result['speedup']}x the "
@@ -243,8 +235,6 @@ def check_speedup(result: dict) -> None:
 
 def test_serving_throughput(benchmark, cats, d1):
     """Harness entry: same measurement inside the pytest bench run."""
-    from conftest import write_result
-
     feed = item_feed(d1, max_items=200)
     item_ids = sorted({record.item_id for record in feed})
     service = make_service(
@@ -258,8 +248,9 @@ def test_serving_throughput(benchmark, cats, d1):
     )
     service.stop()
     result = run(quick=True, rounds=4)
-    write_outputs(result)
-    write_result("serving_throughput", render(result))
+    write_outputs(
+        "serving_throughput", render(result), True, "serving", result
+    )
     check_speedup(result)
 
 
@@ -280,16 +271,8 @@ def main(argv: list[str] | None = None) -> int:
     rounds = args.rounds or (4 if args.quick else 8)
 
     result = run(args.quick, rounds)
-    write_outputs(result)
-    text = render(result)
-    (RESULTS_DIR / "serving_throughput.txt").write_text(
-        text + "\n", encoding="utf-8"
-    )
-    print(text)
-    print(
-        f"\nwrote {RESULTS_DIR / 'BENCH_serving.json'} and "
-        f"{REPO_ROOT / 'BENCH_serving.json'}",
-        file=sys.stderr,
+    write_outputs(
+        "serving_throughput", render(result), args.quick, "serving", result
     )
     check_speedup(result)
     return 0

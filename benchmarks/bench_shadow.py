@@ -22,7 +22,8 @@ halves of that contract:
   throughput.
 
 Results are written to ``BENCH_shadow.json`` at the repo root and
-under ``benchmarks/results/``.
+under ``benchmarks/results/``; quick runs write only the git-ignored
+``*_quick.*`` files (``benchutil.write_outputs``).
 
 Run standalone:
 
@@ -35,10 +36,9 @@ Run standalone:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
+from benchutil import write_outputs
 from bench_serving_throughput import (
     MAX_BATCH,
     MAX_DELAY_MS,
@@ -50,9 +50,8 @@ from bench_serving_throughput import (
 from repro.analysis.reporting import render_table
 from repro.core.system import CATS
 from repro.mlops import ShadowScorer
+from repro.parallel import usable_cpus
 
-RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
 
 #: Acceptance ceiling: plain req/s over shadowed req/s.
 MAX_OVERHEAD = 1.5
@@ -132,6 +131,7 @@ def run(quick: bool, rounds: int) -> dict:
     assert shadow_stats["scored"] > 0, "shadow never scored anything"
 
     result = {
+        "n_cpus": usable_cpus(),
         "n_items": len(item_ids),
         "n_requests": n_requests,
         "feed_records": len(feed),
@@ -153,13 +153,6 @@ def render(result: dict) -> str:
     return render_table(
         ["quantity", "value"], rows, title="Shadow-scoring overhead"
     )
-
-
-def write_outputs(result: dict) -> None:
-    payload = json.dumps(result, indent=2) + "\n"
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_shadow.json").write_text(payload, encoding="utf-8")
-    (REPO_ROOT / "BENCH_shadow.json").write_text(payload, encoding="utf-8")
 
 
 def check_overhead(result: dict) -> None:
@@ -186,16 +179,8 @@ def main(argv: list[str] | None = None) -> int:
     rounds = args.rounds or (4 if args.quick else 8)
 
     result = run(args.quick, rounds)
-    write_outputs(result)
-    text = render(result)
-    (RESULTS_DIR / "shadow_overhead.txt").write_text(
-        text + "\n", encoding="utf-8"
-    )
-    print(text)
-    print(
-        f"\nwrote {RESULTS_DIR / 'BENCH_shadow.json'} and "
-        f"{REPO_ROOT / 'BENCH_shadow.json'}",
-        file=sys.stderr,
+    write_outputs(
+        "shadow_overhead", render(result), args.quick, "shadow", result
     )
     check_overhead(result)
     return 0

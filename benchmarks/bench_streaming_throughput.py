@@ -17,7 +17,8 @@ strictly fewer segmentation calls than the O(n^2) baseline (each comment
 exactly once), and the incremental feature vector must be bit-identical
 to batch extraction.
 
-Run standalone (writes ``benchmarks/results/streaming_throughput.txt``):
+Run standalone (writes ``benchmarks/results/streaming_throughput.txt``,
+or the git-ignored ``streaming_throughput_quick.txt`` with ``--quick``):
 
     PYTHONPATH=src python benchmarks/bench_streaming_throughput.py --quick
 
@@ -30,9 +31,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
+
+from benchutil import write_outputs
 
 from repro.analysis.reporting import render_table
 from repro.collector.records import CommentRecord
@@ -43,7 +45,6 @@ from repro.core.streaming import StreamingDetector
 from repro.datasets.builders import build_d1
 from repro.ecommerce.language import SyntheticLanguage
 
-RESULTS_DIR = Path(__file__).parent / "results"
 
 #: Comment count of the long-lived item used for the O(n) vs O(n^2)
 #: streaming comparison (the PR's acceptance scenario).
@@ -244,8 +245,6 @@ def render_rows(
 
 def test_streaming_throughput(benchmark, cats, d1):
     """Harness entry: same measurement inside the pytest bench run."""
-    from conftest import write_result
-
     texts = comment_feed(d1, STREAM_ITEM_COMMENTS)
     workers = 4
     serial_ips, parallel_ips, n_items = bench_batch(cats, d1, workers)
@@ -257,9 +256,10 @@ def test_streaming_throughput(benchmark, cats, d1):
         rounds=1,
         iterations=1,
     )
-    write_result(
+    write_outputs(
         "streaming_throughput",
         render_rows(n_items, serial_ips, parallel_ips, workers, stream_stats),
+        quick=True,
     )
     assert stream_stats["incremental_calls"] < stream_stats["baseline_calls"]
 
@@ -289,11 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     text = render_rows(
         n_items, serial_ips, parallel_ips, args.workers, stream_stats
     )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out = RESULTS_DIR / "streaming_throughput.txt"
-    out.write_text(text + "\n", encoding="utf-8")
-    print(text)
-    print(f"\nwrote {out}", file=sys.stderr)
+    write_outputs("streaming_throughput", text, args.quick)
     return 0
 
 

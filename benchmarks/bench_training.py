@@ -29,7 +29,8 @@ The benchmark *asserts* correctness before it reports timings:
 * both ``expand_lexicon`` paths must produce **identical** lexicons.
 
 Results are written to ``BENCH_training.json`` at the repo root and
-under ``benchmarks/results/``.
+under ``benchmarks/results/``; quick runs write only the git-ignored
+``*_quick.*`` files (``benchutil.write_outputs``).
 
 Run standalone:
 
@@ -43,13 +44,14 @@ the paper's D0 (>= 10k rows).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from functools import partial
 from pathlib import Path
 
 import numpy as np
+
+from benchutil import write_outputs
 
 from repro import parallel
 from repro.analysis.reporting import render_table
@@ -61,7 +63,6 @@ from repro.semantics.similarity import expand_lexicon
 from repro.semantics.word2vec import Word2Vec
 from repro.text.vocabulary import Vocabulary
 
-RESULTS_DIR = Path(__file__).parent / "results"
 REPO_ROOT = Path(__file__).parent.parent
 
 # The reference implementations live in tests/oracles; a standalone
@@ -300,18 +301,6 @@ def render(result: dict) -> str:
     )
 
 
-def write_outputs(result: dict) -> None:
-    """Full runs own ``BENCH_training.json`` (the checked-in artifact);
-    quick smoke runs write alongside it so they never clobber the
-    full-scale numbers."""
-    payload = json.dumps(result, indent=2) + "\n"
-    name = "BENCH_training_quick.json" if result["quick"] else "BENCH_training.json"
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / name).write_text(payload, encoding="utf-8")
-    if not result["quick"]:
-        (REPO_ROOT / name).write_text(payload, encoding="utf-8")
-
-
 def check_acceptance(result: dict) -> None:
     gbdt = result["gbdt"]
     floor = MIN_GBDT_SPEEDUP_QUICK if result["quick"] else MIN_GBDT_SPEEDUP
@@ -332,13 +321,10 @@ def check_acceptance(result: dict) -> None:
 
 def test_training_stack(benchmark):
     """Harness entry: same measurement inside the pytest bench run."""
-    from conftest import write_result
-
     result = benchmark.pedantic(
         lambda: run(quick=True), rounds=1, iterations=1
     )
-    write_outputs(result)
-    write_result("training_stack", render(result))
+    write_outputs("training_stack", render(result), True, "training", result)
     check_acceptance(result)
 
 
@@ -352,19 +338,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     result = run(args.quick)
-    write_outputs(result)
-    text = render(result)
-    (RESULTS_DIR / "training_stack.txt").write_text(
-        text + "\n", encoding="utf-8"
+    write_outputs(
+        "training_stack", render(result), args.quick, "training", result
     )
-    print(text)
-    written = (
-        str(RESULTS_DIR / "BENCH_training_quick.json")
-        if args.quick
-        else f"{RESULTS_DIR / 'BENCH_training.json'} and "
-        f"{REPO_ROOT / 'BENCH_training.json'}"
-    )
-    print(f"\nwrote {written}", file=sys.stderr)
     check_acceptance(result)
     return 0
 

@@ -5,12 +5,24 @@
 # invariants, not just timings), and the benchmark of record's smoke
 # run, which puts both workloads through their correctness gates
 # (probability digests and alert sets against the serial reference,
-# traced and untraced).  Also available as `make verify`.
+# traced and untraced).  It fails if any step rewrote a tracked bench
+# artefact.  Also available as `make verify`.
 set -eu
 
 cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 export PYTHONPATH
+
+# Quick runs write only git-ignored *_quick.* files, so the tracked
+# results of record must come out of this script byte for byte as they
+# went in (checked at the end; skipped outside a git checkout).
+tracked_artefacts() {
+    git ls-files -z -- 'BENCH_*.json' benchmarks/results | xargs -0 cksum
+}
+artefacts_before=""
+if git rev-parse --git-dir >/dev/null 2>&1; then
+    artefacts_before=$(tracked_artefacts)
+fi
 
 echo "==> comment pipeline smoke bench (--quick)"
 python benchmarks/bench_comment_pipeline.py --quick
@@ -44,5 +56,14 @@ python perfbench/run.py --smoke
 
 echo "==> tier-1 test suite"
 python -m pytest -x -q
+
+if [ -n "$artefacts_before" ]; then
+    echo "==> tracked bench artefacts unchanged"
+    if [ "$(tracked_artefacts)" != "$artefacts_before" ]; then
+        echo "verify: a run rewrote a tracked bench artefact:" >&2
+        git status --short -- 'BENCH_*.json' benchmarks/results >&2
+        exit 1
+    fi
+fi
 
 echo "==> verify OK"

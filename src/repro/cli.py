@@ -214,6 +214,8 @@ def _load_columnar_features(
     item's stored comment count must equal its dataset comment count,
     otherwise the matrix would silently describe a different dataset.
     """
+    import numpy as np
+
     from repro.core.columnar import ColumnarCommentStore, ColumnarStoreError
 
     analyzer_hash = (getattr(cats, "archive_info", None) or {}).get(
@@ -225,10 +227,8 @@ def _load_columnar_features(
         )
     except ColumnarStoreError as exc:
         raise SystemExit(str(exc))
-    item_col = columnar.column("item_id")
-    stored: dict[int, int] = {}
-    for item_id in item_col:
-        stored[int(item_id)] = stored.get(int(item_id), 0) + 1
+    ids, counts = np.unique(columnar.column("item_id"), return_counts=True)
+    stored = dict(zip(ids.tolist(), counts.tolist()))
     for item in items:
         expected = len(item.comments)
         got = stored.get(int(item.item_id), 0)

@@ -25,6 +25,20 @@ def _require(row: dict[str, Any], key: str) -> Any:
     return row[key]
 
 
+def _text(row: dict[str, Any], key: str) -> str:
+    """A required text field that encodes as UTF-8.
+
+    A JSON escape such as ``"\\ud83d"`` decodes to a lone surrogate,
+    which no UTF-8 writer (checkpoints, the store's interner) accepts.
+    """
+    value = str(_require(row, key))
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise RecordParseError(f"field {key!r} is not UTF-8 text: {exc}")
+    return value
+
+
 @dataclass(frozen=True)
 class ShopRecord:
     """Basic information extracted from a shop homepage."""
@@ -90,11 +104,11 @@ class CommentRecord:
             return cls(
                 item_id=int(_require(row, "item_id")),
                 comment_id=int(_require(row, "comment_id")),
-                content=str(_require(row, "comment_content")),
-                nickname=str(_require(row, "nickname")),
+                content=_text(row, "comment_content"),
+                nickname=_text(row, "nickname"),
                 user_exp_value=int(_require(row, "userExpValue")),
-                client=str(_require(row, "client_information")),
-                date=str(_require(row, "date")),
+                client=_text(row, "client_information"),
+                date=_text(row, "date"),
             )
         except (TypeError, ValueError) as exc:
             raise RecordParseError(str(exc)) from exc

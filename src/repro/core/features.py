@@ -453,11 +453,7 @@ class FeatureExtractor:
         """Analyze one raw comment: ``comment_stats_many([text])[0]``."""
         return self.comment_stats_many([text])[0]
 
-    def comment_stats_many(
-        self,
-        texts: Sequence[str],
-        n_workers: int | None = None,
-    ) -> list[CommentStats]:
+    def comment_stats_many(self, texts: Sequence[str]) -> list[CommentStats]:
         """Per-comment statistics for a batch, in input order.
 
         Texts the shared analysis cache holds are served from it; the
@@ -466,19 +462,8 @@ class FeatureExtractor:
         texts share one object.  The streaming, serving and
         ``extract_many`` paths come through here; the batch store path
         (:func:`repro.core.columnar.append_comments`) does not.
-
-        When the executor grants more than one worker the batch is
-        analyzed by the parallel sharded engine
-        (:mod:`repro.core.parallel_analysis`): every returned stats
-        object is field-for-field equal to the serial one, with
-        ``token_ids`` in the merged interner's id space and the
-        interner grown exactly as a serial run would grow it.
         """
         interner = self._interner()
-        if effective_workers(n_workers, len(texts)) > 1:
-            from repro.core.parallel_analysis import analyze_stats_many
-
-            return analyze_stats_many(self, texts, n_workers)
         cache = self._cache
         results: list[CommentStats | None] = [None] * len(texts)
         misses: dict[str, None] = {}

@@ -268,11 +268,13 @@ def analyze_stats_many(
     n_workers: int,
     chunk_size: int | None = None,
 ) -> list:
-    """Parallel :meth:`FeatureExtractor.comment_stats_many` backend.
+    """Parallel equivalent of :meth:`FeatureExtractor.comment_stats_many`.
 
-    Analyzes *texts* on workers, merges vocabularies deterministically,
-    and rebuilds per-comment :class:`~repro.core.features.CommentStats`
-    in the parent with
+    No production path calls it: ``comment_stats_many`` serves small
+    streaming batches serially.  It stays while the benchmark's tracer
+    (``perfbench/spans.py``) wraps it by name.  Analyzes *texts* on workers,
+    merges vocabularies deterministically, and rebuilds per-comment
+    :class:`~repro.core.features.CommentStats` in the parent with
     :func:`~repro.core.features.stats_from_columns` -- field-for-field
     equal to the serial objects, with ``token_ids`` already in the
     merged (parent) id space.  Duplicate texts share one stats object,

@@ -26,21 +26,24 @@ Each :class:`_ItemState` owns an
 :class:`~repro.core.features.ItemAccumulator` holding the running sums
 behind the item's Table II feature vector.  On rescore, only comments
 that arrived since the last scoring go through segmentation and
-sentiment (via :meth:`FeatureExtractor.comment_stats`); the feature
-vector is then an O(1) :meth:`ItemAccumulator.to_vector` read.  This
-turns the lifetime cost of a long-lived item from O(n^2) in comments
-observed (re-extracting the whole buffer at every rescore) into O(n):
-each comment is analyzed exactly once, however often its item is
-rescored.
+sentiment (via :meth:`FeatureExtractor.comment_stats_many`); the
+feature vector is then an O(1) :meth:`ItemAccumulator.to_vector` read.
+This turns the lifetime cost of a long-lived item from O(n^2) in
+comments observed (re-extracting the whole buffer at every rescore)
+into O(n): each comment is analyzed exactly once, however often its
+item is rescored.
 
 Because batch extraction folds comments through the identical
 accumulator in the identical order, the incremental vector is
 *bit-identical* to ``FeatureExtractor.extract`` over the full buffer --
 streaming scores equal batch scores exactly, not approximately.
 
-``force_rescore`` shares the scoring path and therefore also respects
-``min_comments_to_score``: below the floor it returns the item's latest
-probability without scoring (and without emitting alerts).
+One private routine scores every due item: :meth:`observe` (its one
+item), :meth:`force_rescore` and :meth:`force_rescore_many` all go
+through it, so the three cannot drift apart.  ``force_rescore`` and
+``force_rescore_many`` therefore also respect ``min_comments_to_score``:
+below the floor they return the item's latest probability without
+scoring (and without emitting alerts).
 
 Long-running feeds
 ------------------
@@ -64,15 +67,16 @@ long-running detector (they back the serving layer in
   buffered record, accumulator sum and alert as a plain-Python
   structure; :meth:`restore_state` rebuilds a detector whose subsequent
   behaviour is bit-identical to one that never stopped.  The serving
-  checkpoint layer (:mod:`repro.serving.checkpoint`) persists this
-  structure as JSON + npz.
+  checkpoint layer (:mod:`repro.serving.checkpoint`) writes this
+  structure as one JSON file; Python floats round-trip through JSON
+  exactly, so no binary side file is needed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import Counter, OrderedDict
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,51 +167,11 @@ class _ItemState:
     last_scored_size: int = 0
     last_probability: float = 0.0
 
-    @property
-    def comment_texts(self) -> list[str]:
-        return [comment.content for comment in self.comments]
-
 
 #: Comment-record fields, in order.  Every one is an int or a str, so
 #: a plain dict of them equals ``dataclasses.asdict``, whose deep copy
 #: made exporting a checkpoint's comments about 8x slower.
 _RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(CommentRecord))
-
-
-def _accumulator_to_state(accumulator: ItemAccumulator) -> dict:
-    """Plain-Python snapshot of an accumulator's running sums."""
-    return {
-        "n_comments": accumulator.n_comments,
-        "sum_positive_distinct": accumulator.sum_positive_distinct,
-        "sum_pos_neg_delta": accumulator.sum_pos_neg_delta,
-        "total_words": accumulator.total_words,
-        "word_counts": dict(accumulator.word_counts),
-        "sum_sentiment": accumulator.sum_sentiment,
-        "sum_entropy": accumulator.sum_entropy,
-        "sum_punctuation": accumulator.sum_punctuation,
-        "sum_punctuation_ratio": accumulator.sum_punctuation_ratio,
-        "sum_positive_bigrams": accumulator.sum_positive_bigrams,
-        "sum_bigram_ratio_terms": accumulator.sum_bigram_ratio_terms,
-    }
-
-
-def _accumulator_from_state(data: dict) -> ItemAccumulator:
-    """Rebuild an accumulator bit-identically from its snapshot."""
-    return ItemAccumulator(
-        n_comments=int(data["n_comments"]),
-        sum_positive_distinct=int(data["sum_positive_distinct"]),
-        sum_pos_neg_delta=int(data["sum_pos_neg_delta"]),
-        total_words=int(data["total_words"]),
-        word_counts=Counter(
-            {word: int(count) for word, count in data["word_counts"].items()}
-        ),
-        sum_sentiment=float(data["sum_sentiment"]),
-        sum_entropy=float(data["sum_entropy"]),
-        sum_punctuation=int(data["sum_punctuation"]),
-        sum_punctuation_ratio=float(data["sum_punctuation_ratio"]),
-        sum_positive_bigrams=int(data["sum_positive_bigrams"]),
-        sum_bigram_ratio_terms=float(data["sum_bigram_ratio_terms"]),
-    )
 
 
 class StreamingDetector:
@@ -340,7 +304,8 @@ class StreamingDetector:
         )
         if not due:
             return None
-        return self._score(comment.item_id, state, comment.comment_id)
+        alerts = self._score_due([(comment.item_id, state)])
+        return alerts[0] if alerts else None
 
     def observe_many(
         self, comments: list[CommentRecord]
@@ -371,66 +336,67 @@ class StreamingDetector:
 
     # -- scoring -------------------------------------------------------------
 
-    def _accumulate_unseen(self, state: _ItemState) -> None:
-        """Fold buffered-but-unanalyzed comments into the accumulator.
+    def _score_due(self, due: list[tuple[int, _ItemState]]) -> list[Alert]:
+        """Score every ``(item_id, state)`` pair; returns new alerts.
 
-        Only the suffix beyond ``n_accumulated`` pays segmentation and
-        sentiment cost; everything earlier is already in the running
-        sums.  The suffix goes through the extractor's batch path, so
-        its sentiment is one NB call and duplicate texts hit the
-        shared analysis cache.
+        The one scoring path.  Every unanalyzed buffer suffix goes
+        through one ``comment_stats_many`` call (one batched sentiment
+        call; duplicates across items resolve in the shared cache), each
+        item folds its own slice in buffer order -- bit-identical to
+        folding item by item -- and the store receives the batch in one
+        append.  Rule-passing rows share one ``predict_proba`` call;
+        results commit in order, each alert triggered by its item's last
+        buffered comment.
         """
-        new_records = state.comments[state.n_accumulated :]
-        if new_records:
+        records: list[CommentRecord] = []
+        spans: list[tuple[int, int]] = []
+        for _, state in due:
+            start = len(records)
+            records.extend(state.comments[state.n_accumulated :])
+            spans.append((start, len(records)))
+        if records:
             stats_list = self.cats.feature_extractor.comment_stats_many(
-                [comment.content for comment in new_records]
+                [comment.content for comment in records]
             )
-            state.accumulator.add_many(stats_list)
+            for (_, state), (start, end) in zip(due, spans):
+                state.accumulator.add_many(stats_list[start:end])
+                state.n_accumulated += end - start
             if self.columnar_store is not None:
-                self.columnar_store.append(new_records, stats_list)
-        state.n_accumulated = len(state.comments)
+                self.columnar_store.append(records, stats_list)
 
-    def _finish_score(
-        self,
-        item_id: int,
-        state: _ItemState,
-        probability: float,
-        trigger_id: int,
-    ) -> Alert | None:
-        """Commit one scoring result; emits the at-most-once alert."""
-        state.last_scored_size = len(state.comments)
-        state.last_probability = probability
-        threshold = self.cats.detector.config.threshold
-        if probability >= threshold and item_id not in self._alerted_ids:
-            self._alerted_ids.add(item_id)
-            alert = Alert(
-                item_id=item_id,
-                fraud_probability=probability,
-                n_comments=len(state.comments),
-                triggered_by_comment_id=trigger_id,
-            )
-            self._alerts.append(alert)
-            return alert
-        return None
-
-    def _score(
-        self, item_id: int, state: _ItemState, trigger_id: int
-    ) -> Alert | None:
-        self._accumulate_unseen(state)
-        features = state.accumulator.to_vector()
+        rows = np.vstack([state.accumulator.to_vector() for _, state in due])
         if self.feature_observer is not None:
-            self.feature_observer(features.reshape(1, -1))
+            self.feature_observer(rows)
         detector = self.cats.detector
-        passes = detector.rule_filter.passes(
-            state.sales_volume, len(state.comments), features
-        )
-        if passes:
-            probability = float(
-                detector.predict_proba(features.reshape(1, -1))[0]
+        passing = [
+            i
+            for i, (_, state) in enumerate(due)
+            if detector.rule_filter.passes(
+                state.sales_volume, len(state.comments), rows[i]
             )
-        else:
-            probability = 0.0
-        return self._finish_score(item_id, state, probability, trigger_id)
+        ]
+        probabilities = [0.0] * len(due)
+        if passing:
+            scored = detector.predict_proba(rows[passing])
+            for i, probability in zip(passing, scored):
+                probabilities[i] = float(probability)
+
+        alerts = []
+        threshold = detector.config.threshold
+        for (item_id, state), probability in zip(due, probabilities):
+            state.last_scored_size = len(state.comments)
+            state.last_probability = probability
+            if probability >= threshold and item_id not in self._alerted_ids:
+                self._alerted_ids.add(item_id)
+                alert = Alert(
+                    item_id=item_id,
+                    fraud_probability=probability,
+                    n_comments=len(state.comments),
+                    triggered_by_comment_id=state.comments[-1].comment_id,
+                )
+                self._alerts.append(alert)
+                alerts.append(alert)
+        return alerts
 
     def force_rescore(self, item_id: int) -> float:
         """Score an item immediately; returns its P(fraud).
@@ -440,13 +406,11 @@ class StreamingDetector:
         their latest probability -- 0.0 when never scored -- is
         returned unchanged.
         """
-        if item_id not in self._items:
+        state = self._items.get(item_id)
+        if state is None:
             raise KeyError(f"unknown item {item_id}")
-        state = self._items[item_id]
-        if len(state.comments) < self.min_comments_to_score:
-            return state.last_probability
-        last = state.comments[-1].comment_id
-        self._score(item_id, state, last)
+        if len(state.comments) >= self.min_comments_to_score:
+            self._score_due([(item_id, state)])
         return state.last_probability
 
     def force_rescore_many(self, item_ids: Iterable[int]) -> dict[int, float]:
@@ -469,69 +433,18 @@ class StreamingDetector:
         missing = [i for i in unique_ids if i not in self._items]
         if missing:
             raise KeyError(f"unknown item {missing[0]}")
-        results: dict[int, float] = {}
-        to_predict: list[tuple[int, _ItemState, np.ndarray]] = []
-        detector = self.cats.detector
-
-        # Batch the comment analysis across every scoreable item: all
-        # unanalyzed suffixes go through one comment_stats_many call
-        # (one batched sentiment call; duplicates across items resolve
-        # in the shared cache), then each item folds its own slice in
-        # buffer order -- bit-identical to per-item accumulation.
-        eligible: list[tuple[int, _ItemState]] = []
-        spans: list[tuple[_ItemState, int, int]] = []
-        all_records: list[CommentRecord] = []
-        for item_id in unique_ids:
-            state = self._items[item_id]
-            if len(state.comments) < self.min_comments_to_score:
-                results[item_id] = state.last_probability
-                continue
-            eligible.append((item_id, state))
-            start = len(all_records)
-            all_records.extend(state.comments[state.n_accumulated :])
-            spans.append((state, start, len(all_records)))
-        if all_records:
-            stats_list = self.cats.feature_extractor.comment_stats_many(
-                [comment.content for comment in all_records]
-            )
-            for state, start, end in spans:
-                if start < end:
-                    state.accumulator.add_many(stats_list[start:end])
-                state.n_accumulated = len(state.comments)
-            if self.columnar_store is not None:
-                self.columnar_store.append(all_records, stats_list)
-        else:
-            for state, _, _ in spans:
-                state.n_accumulated = len(state.comments)
-
-        if eligible and self.feature_observer is not None:
-            self.feature_observer(
-                np.vstack(
-                    [state.accumulator.to_vector() for _, state in eligible]
-                )
-            )
-        for item_id, state in eligible:
-            features = state.accumulator.to_vector()
-            if detector.rule_filter.passes(
-                state.sales_volume, len(state.comments), features
-            ):
-                to_predict.append((item_id, state, features))
-            else:
-                trigger = state.comments[-1].comment_id
-                self._finish_score(item_id, state, 0.0, trigger)
-                results[item_id] = 0.0
-        if to_predict:
-            matrix = np.vstack([row for _, _, row in to_predict])
-            probabilities = detector.predict_proba(matrix)
-            for (item_id, state, _), probability in zip(
-                to_predict, probabilities
-            ):
-                trigger = state.comments[-1].comment_id
-                self._finish_score(
-                    item_id, state, float(probability), trigger
-                )
-                results[item_id] = float(probability)
-        return results
+        floor = self.min_comments_to_score
+        due = [
+            (item_id, self._items[item_id])
+            for item_id in unique_ids
+            if len(self._items[item_id].comments) >= floor
+        ]
+        if due:
+            self._score_due(due)
+        return {
+            item_id: self._items[item_id].last_probability
+            for item_id in unique_ids
+        }
 
     # -- state export / restore ---------------------------------------------
 
@@ -573,7 +486,10 @@ class StreamingDetector:
                     "n_accumulated": state.n_accumulated,
                     "last_scored_size": state.last_scored_size,
                     "last_probability": state.last_probability,
-                    "accumulator": _accumulator_to_state(state.accumulator),
+                    "accumulator": dict(
+                        vars(state.accumulator),
+                        word_counts=dict(state.accumulator.word_counts),
+                    ),
                 }
             )
         state = {
@@ -673,11 +589,14 @@ class StreamingDetector:
         self._items = OrderedDict()
         for entry in data["items"]:
             comments = [CommentRecord(**c) for c in entry["comments"]]
+            sums = entry["accumulator"]
             state = _ItemState(
                 sales_volume=int(entry["sales_volume"]),
                 comments=comments,
                 seen=set(comments),
-                accumulator=_accumulator_from_state(entry["accumulator"]),
+                accumulator=ItemAccumulator(
+                    **dict(sums, word_counts=Counter(sums["word_counts"]))
+                ),
                 n_accumulated=int(entry["n_accumulated"]),
                 last_scored_size=int(entry["last_scored_size"]),
                 last_probability=float(entry["last_probability"]),

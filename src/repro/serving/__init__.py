@@ -12,7 +12,7 @@ long-running scoring service (the paper's Section VI deployment regime):
   detector state; score requests across a batch share one vectorized
   classifier call);
 * :mod:`repro.serving.checkpoint` -- durable streaming-state
-  checkpoints (JSON + npz, atomic publish), so a killed service
+  checkpoints (one JSON file, atomic publish), so a killed service
   restarts bit-identical from its last checkpoint;
 * :mod:`repro.serving.httpd` -- a stdlib-only HTTP front end with
   ``/score``, ``/ingest``, ``/alerts``, ``/healthz`` and ``/stats``

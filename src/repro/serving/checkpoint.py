@@ -1,12 +1,12 @@
-"""Durable streaming-state checkpoints (JSON + npz, no pickle).
+"""Durable streaming-state checkpoints (one JSON file, no pickle).
 
 A long-running detection service must survive ``kill -9``: whatever
 state it rebuilt from its feed has to come back on restart, bit-exact,
 or resumed scores drift from what an uninterrupted run would have
 produced.  This module persists the snapshot structure exported by
 :meth:`repro.core.streaming.StreamingDetector.export_state` following
-the :mod:`repro.core.persistence` conventions -- plain JSON plus
-``.npz``, no pickling, atomic writes.
+the :mod:`repro.core.persistence` conventions -- plain JSON, no
+pickling, atomic writes.
 
 Layout
 ------
@@ -14,14 +14,15 @@ Layout
 Each checkpoint is one directory under the manager's root::
 
     ckpt-00000042/
-        state.json   everything but the per-item float sums
-        sums.npz     float64 running sums, one array per field
+        state.json   the exported snapshot plus ``checkpoint_version``
 
-The float accumulator sums and the last-scored probabilities are
-stripped out of the JSON and stored as binary float64 arrays (exact by
-construction); integer counts and text stay in JSON, which round-trips
-them exactly.  ``item_id`` order ties the arrays back to the JSON
-entries.
+JSON alone is exact: integers and text round-trip verbatim, and
+``json`` writes every float with ``repr``, the shortest decimal string
+that parses back to the same double, so the float accumulator sums and
+last-scored probabilities (``-0.0`` and subnormals included) restore
+bit for bit.  A directory of any other ``checkpoint_version`` -- such as
+version 1, which split the float sums into a ``.npz`` beside the JSON --
+is refused with :class:`CheckpointError`.
 
 Crash safety
 ------------
@@ -41,89 +42,17 @@ import json
 import os
 import shutil
 from pathlib import Path
-from typing import Any
 
-import numpy as np
-
-from repro.core.persistence import write_json_atomic, write_npz_atomic
+from repro.core.persistence import write_json_atomic
 
 #: Checkpoint directory format version.
-CHECKPOINT_VERSION = 1
-
-#: Accumulator float fields relocated from JSON into ``sums.npz``.
-_ACC_FLOAT_FIELDS = (
-    "sum_sentiment",
-    "sum_entropy",
-    "sum_punctuation_ratio",
-    "sum_bigram_ratio_terms",
-)
+CHECKPOINT_VERSION = 2
 
 _PREFIX = "ckpt-"
 
 
 class CheckpointError(RuntimeError):
     """No usable checkpoint could be written or read."""
-
-
-def _split_state(state: dict) -> tuple[dict, dict[str, np.ndarray]]:
-    """(json_payload, npz_arrays) for one exported snapshot.
-
-    The input structure is not modified; item entries are shallow-copied
-    with their float fields removed.
-    """
-    items_json = []
-    item_ids = []
-    last_probabilities = []
-    acc_columns: dict[str, list[float]] = {
-        name: [] for name in _ACC_FLOAT_FIELDS
-    }
-    for entry in state["items"]:
-        accumulator = dict(entry["accumulator"])
-        for name in _ACC_FLOAT_FIELDS:
-            acc_columns[name].append(accumulator.pop(name))
-        slim = dict(entry, accumulator=accumulator)
-        last_probabilities.append(slim.pop("last_probability"))
-        item_ids.append(entry["item_id"])
-        items_json.append(slim)
-    payload = dict(state, items=items_json)
-    payload["checkpoint_version"] = CHECKPOINT_VERSION
-    arrays = {
-        "item_id": np.asarray(item_ids, dtype=np.int64),
-        "last_probability": np.asarray(
-            last_probabilities, dtype=np.float64
-        ),
-    }
-    for name, column in acc_columns.items():
-        arrays[f"acc_{name}"] = np.asarray(column, dtype=np.float64)
-    return payload, arrays
-
-
-def _merge_state(payload: dict, arrays: Any) -> dict:
-    """Inverse of :func:`_split_state`."""
-    item_ids = arrays["item_id"]
-    if len(item_ids) != len(payload["items"]):
-        raise CheckpointError(
-            "sums.npz arrays do not match state.json items"
-        )
-    items = []
-    for i, slim in enumerate(payload["items"]):
-        if int(item_ids[i]) != int(slim["item_id"]):
-            raise CheckpointError(
-                f"item order mismatch at row {i} "
-                f"({int(item_ids[i])} != {slim['item_id']})"
-            )
-        accumulator = dict(slim["accumulator"])
-        for name in _ACC_FLOAT_FIELDS:
-            accumulator[name] = float(arrays[f"acc_{name}"][i])
-        entry = dict(
-            slim,
-            accumulator=accumulator,
-            last_probability=float(arrays["last_probability"][i]),
-        )
-        items.append(entry)
-    state = dict(payload, items=items)
-    state.pop("checkpoint_version", None)
-    return state
 
 
 class CheckpointManager:
@@ -186,9 +115,10 @@ class CheckpointManager:
             shutil.rmtree(staging)
         staging.mkdir()
         try:
-            payload, arrays = _split_state(state)
-            write_json_atomic(staging / "state.json", payload)
-            write_npz_atomic(staging / "sums.npz", **arrays)
+            write_json_atomic(
+                staging / "state.json",
+                dict(state, checkpoint_version=CHECKPOINT_VERSION),
+            )
             os.rename(staging, final)
         except BaseException:
             shutil.rmtree(staging, ignore_errors=True)
@@ -205,20 +135,17 @@ class CheckpointManager:
     def load_dir(path: Path) -> dict:
         """Read one checkpoint directory back into a snapshot dict."""
         try:
-            payload = json.loads(
+            state = json.loads(
                 (path / "state.json").read_text(encoding="utf-8")
             )
-            if payload.get("checkpoint_version") != CHECKPOINT_VERSION:
-                raise CheckpointError(
-                    "unsupported checkpoint version "
-                    f"{payload.get('checkpoint_version')!r}"
-                )
-            with np.load(path / "sums.npz") as arrays:
-                return _merge_state(payload, arrays)
-        except CheckpointError:
-            raise
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise CheckpointError(f"unreadable checkpoint {path}: {exc}")
+        version = state.pop("checkpoint_version", None)
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"unsupported checkpoint version {version!r} in {path}"
+            )
+        return state
 
     def load_latest(self) -> tuple[dict, Path] | None:
         """(snapshot, path) of the newest readable checkpoint.

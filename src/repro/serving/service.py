@@ -7,9 +7,11 @@ scoring service:
 * all mutation flows through one :class:`~repro.serving.batching.MicroBatcher`
   scheduler thread (single-writer: the streaming detector is only ever
   touched from that thread, so it needs no internal locking);
-* ingest requests are coalesced per batch and fed through the
-  incremental accumulator path -- semantics are identical to calling
-  ``observe`` per record, whatever the batch boundaries;
+* one mutation request, :meth:`DetectionService.feed` (comments plus
+  sales updates, applied atomically), is fed through the incremental
+  accumulator path -- semantics are identical to calling
+  ``update_sales`` and then ``observe`` per record, whatever the batch
+  boundaries;
 * score requests across a batch are merged into **one** vectorized
   classifier call (:meth:`StreamingDetector.force_rescore_many`), which
   is where micro-batching earns its throughput;
@@ -37,7 +39,7 @@ from repro.core.columnar import ColumnarStoreError
 from repro.core.streaming import Alert, StreamingDetector, shard_of
 from repro.core.system import CATS
 from repro.serving.batching import DEFAULT_MAX_DELAY, MicroBatcher, Request
-from repro.serving.checkpoint import CheckpointError, CheckpointManager
+from repro.serving.checkpoint import CheckpointManager
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.mlops.drift import DriftMonitor
@@ -106,8 +108,8 @@ class DetectionService:
         read back through ``/drift``.
     recorder:
         Optional :class:`~repro.mlops.replay.TrafficRecorder`; every
-        *applied* mutation (ingest/feed/sales) is appended in apply
-        order, so the recording replays to identical state.
+        *applied* feed request is appended in apply order, so the
+        recording replays to identical state.
     columnar_store:
         Optional :class:`~repro.core.columnar.ColumnarCommentStore`
         (appendable, sharing the analyzer's interner -- normally opened
@@ -282,24 +284,6 @@ class DetectionService:
 
     # -- request entry points ------------------------------------------------
 
-    def submit_ingest(
-        self, comments: Sequence[CommentRecord]
-    ) -> Future:
-        """Queue comment records; future resolves to :class:`IngestResult`.
-
-        Raises :class:`~repro.serving.batching.QueueFullError` when the
-        service is overloaded (the caller should back off and retry).
-        """
-        return self._batcher.submit("ingest", list(comments))
-
-    def ingest(
-        self,
-        comments: Sequence[CommentRecord],
-        timeout: float | None = None,
-    ) -> IngestResult:
-        """Synchronous :meth:`submit_ingest`."""
-        return self.submit_ingest(comments).result(timeout=timeout)
-
     def submit_score(self, item_ids: Iterable[int]) -> Future:
         """Queue a scoring request for tracked items.
 
@@ -314,10 +298,6 @@ class DetectionService:
     ) -> dict[int, float]:
         """Synchronous :meth:`submit_score`."""
         return self.submit_score(item_ids).result(timeout=timeout)
-
-    def submit_sales(self, item_id: int, sales_volume: int) -> Future:
-        """Queue a sales-volume update (resolves to None)."""
-        return self._batcher.submit("sales", (item_id, sales_volume))
 
     def submit_feed(
         self,
@@ -448,11 +428,10 @@ class DetectionService:
     def _process_batch(self, batch: list[Request]) -> None:
         """Handle one coalesced batch.
 
-        Ingest and sales updates run in arrival order; all score
-        requests are merged into a single vectorized rescore at the
-        end of the batch (so a score queued behind an ingest in the
-        same batch sees that ingest's effect -- same as with
-        one-at-a-time processing).
+        Feed requests run in arrival order; all score requests are
+        merged into a single vectorized rescore at the end of the batch
+        (so a score queued behind a feed in the same batch sees that
+        feed's effect -- same as with one-at-a-time processing).
         """
         score_requests: list[Request] = []
         for request in batch:
@@ -460,26 +439,9 @@ class DetectionService:
                 score_requests.append(request)
                 continue
             try:
-                if request.kind == "ingest":
-                    request.future.set_result(self._do_ingest(request.payload))
-                    self._mirror_feed(request.payload, [])
-                elif request.kind == "feed":
-                    comments, sales = request.payload
-                    request.future.set_result(
-                        self._do_feed(comments, sales)
-                    )
-                    self._mirror_feed(comments, sales)
-                elif request.kind == "sales":
-                    item_id, volume = request.payload
-                    self._check_shard_ownership([int(item_id)])
-                    self.stream.update_sales(item_id, volume)
-                    self._n_sales_updates += 1
-                    request.future.set_result(None)
-                    self._mirror_feed([], [(int(item_id), int(volume))])
-                else:
-                    raise ValueError(
-                        f"unknown request kind {request.kind!r}"
-                    )
+                comments, sales = request.payload
+                request.future.set_result(self._do_feed(comments, sales))
+                self._mirror_feed(comments, sales)
             except BaseException as exc:  # noqa: BLE001 - isolate request
                 request.future.set_exception(exc)
         if score_requests:
@@ -499,18 +461,6 @@ class DetectionService:
                     f"worker (shard {index} of {count})"
                 )
 
-    def _do_ingest(self, records: list[CommentRecord]) -> IngestResult:
-        stream = self.stream
-        self._check_shard_ownership(r.item_id for r in records)
-        duplicates_before = stream.n_duplicates
-        alerts = stream.observe_many(records)
-        duplicates = stream.n_duplicates - duplicates_before
-        return IngestResult(
-            accepted=len(records) - duplicates,
-            duplicates=duplicates,
-            alerts=alerts,
-        )
-
     def _do_feed(
         self,
         records: list[CommentRecord],
@@ -525,12 +475,19 @@ class DetectionService:
             [int(item_id) for item_id, _ in sales]
         )
         self._check_shard_ownership(r.item_id for r in records)
+        stream = self.stream
         for item_id, volume in sales:
-            self.stream.update_sales(int(item_id), int(volume))
+            stream.update_sales(int(item_id), int(volume))
             self._n_sales_updates += 1
-        result = self._do_ingest(records)
-        result.sales_updates = len(sales)
-        return result
+        duplicates_before = stream.n_duplicates
+        alerts = stream.observe_many(records)
+        duplicates = stream.n_duplicates - duplicates_before
+        return IngestResult(
+            accepted=len(records) - duplicates,
+            duplicates=duplicates,
+            alerts=alerts,
+            sales_updates=len(sales),
+        )
 
     def _do_scores(self, requests: list[Request]) -> None:
         """One classifier call for every score request in the batch."""
@@ -641,9 +598,10 @@ class DetectionService:
                     "n_comments": store.n_comments,
                 }
             self.checkpoints.save(state)
-        except (OSError, CheckpointError, ColumnarStoreError) as exc:
-            # A failing disk must not take the scoring path down; the
-            # failure is surfaced through /stats instead.
+        except (OSError, ValueError, ColumnarStoreError) as exc:
+            # A failing disk, or state that cannot be encoded, must not
+            # take the scoring path down; the failure is surfaced
+            # through /stats instead.
             self.n_checkpoint_failures += 1
             self.last_checkpoint_error = str(exc)
             return

@@ -87,6 +87,18 @@ class TestCommentRecord:
         with pytest.raises(RecordParseError):
             CommentRecord.from_row(row)
 
+    @pytest.mark.parametrize(
+        "key", ["comment_content", "nickname", "client_information", "date"]
+    )
+    def test_lone_surrogate_text_rejected(self, key):
+        """``json.loads('"\\ud83d"')`` yields a lone surrogate, which no
+        UTF-8 writer accepts; a paired one (an emoji) is fine."""
+        row = dict(COMMENT_ROW, **{key: json.loads('"a\\ud83d"')})
+        with pytest.raises(RecordParseError, match="UTF-8"):
+            CommentRecord.from_row(row)
+        paired = dict(COMMENT_ROW, **{key: json.loads('"a\\ud83d\\ude00"')})
+        assert CommentRecord.from_row(paired)
+
 
 class TestCrawledItem:
     def test_properties(self):

@@ -1,6 +1,7 @@
 """Tests for repro.core.streaming."""
 
 import dataclasses
+import random
 
 import numpy as np
 import pytest
@@ -139,13 +140,13 @@ class TestRescorePolicy:
         lazy = StreamingDetector(
             trained_cats, rescore_growth=2.0, min_comments_to_score=3
         )
-        original = lazy._score
+        original = lazy._score_due
 
-        def counting_score(item_id, state, trigger):
-            calls.append(item_id)
-            return original(item_id, state, trigger)
+        def counting_score(due):
+            calls.extend(item_id for item_id, _ in due)
+            return original(due)
 
-        lazy._score = counting_score
+        lazy._score_due = counting_score
         lazy.observe_many(records[:8])
         # Scorings at sizes 3, 6 (>= 2x3); not on every comment.
         assert len(calls) <= 3
@@ -229,6 +230,55 @@ class TestRescorePolicy:
             state.accumulator.to_vector(),
             trained_cats.feature_extractor.extract(item.comment_texts),
         )
+
+
+class TestOneScoringPath:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batched_rescore_equals_per_item_rescore(
+        self, trained_cats, taobao_platform, seed
+    ):
+        """``observe`` plus ``force_rescore_many`` on random batches and
+        per-item ``force_rescore`` in the same order agree on every
+        probability, alert, scored size and the exported state."""
+        rng = random.Random(seed)
+        items = sorted(
+            taobao_platform.fraud_items[:6] + taobao_platform.normal_items[:6],
+            key=lambda item: item.item_id,
+        )
+        per_item = [records_for(taobao_platform, item) for item in items]
+        feed = [
+            records[level]
+            for level in range(max(len(r) for r in per_item))
+            for records in per_item
+            if level < len(records)
+        ]
+        sales = {item.item_id: item.sales_volume for item in items}
+        batched = StreamingDetector(trained_cats, rescore_growth=1.5)
+        single = StreamingDetector(trained_cats, rescore_growth=1.5)
+        start = 0
+        while start < len(feed):
+            chunk = feed[start : start + rng.randint(1, 12)]
+            start += len(chunk)
+            assert batched.observe_many(chunk) == single.observe_many(chunk)
+            tracked = batched.tracked_items()
+            # Listing data lags the comments: an item scored while the
+            # rule filter blocked it is re-scored once its sales land.
+            lagging = rng.choice(tracked)
+            for stream in (batched, single):
+                stream.update_sales(lagging, sales[lagging])
+            batch = [rng.choice(tracked) for _ in range(rng.randint(1, 6))]
+            expected = {
+                item_id: single.force_rescore(item_id) for item_id in batch
+            }
+            assert batched.force_rescore_many(batch) == expected
+            assert batched.alerts == single.alerts
+            for item_id in tracked:
+                assert (
+                    batched._items[item_id].last_scored_size
+                    == single._items[item_id].last_scored_size
+                )
+        assert batched.alerts, "the feed should raise at least one alert"
+        assert batched.export_state() == single.export_state()
 
 
 class TestIncrementalCost:

@@ -82,7 +82,7 @@ class TestReplay:
             recorder=TrafficRecorder(recording),
         ).start()
         try:
-            service.ingest(feed)
+            service.feed(feed)
             live_scores = service.score(feed_item_ids)
         finally:
             service.stop()

@@ -154,7 +154,7 @@ class TestServiceIntegration:
             trained_cats, rescore_growth=1.0, max_delay_ms=2
         ).start()
         try:
-            plain.ingest(feed)
+            plain.feed(feed)
             expected_scores = plain.score(feed_item_ids)
             expected_alerts = plain.alerts()
         finally:
@@ -167,7 +167,7 @@ class TestServiceIntegration:
             trained_cats, rescore_growth=1.0, max_delay_ms=2, shadow=shadow
         ).start()
         try:
-            shadowed.ingest(feed)
+            shadowed.feed(feed)
             assert shadowed.score(feed_item_ids) == expected_scores
             assert shadowed.alerts() == expected_alerts
         finally:
@@ -200,7 +200,7 @@ class TestServiceIntegration:
             shadow=Exploding(),
         ).start()
         try:
-            service.ingest(feed[:40])
+            service.feed(feed[:40])
             item_ids = sorted({r.item_id for r in feed[:40]})
             assert service.score(item_ids)
             assert service.stats()["shadow_errors"] >= 1

@@ -46,25 +46,69 @@ class TestManager:
         path = manager.save(state)
         assert path.is_dir()
         assert (path / "state.json").is_file()
-        assert (path / "sums.npz").is_file()
         loaded, loaded_path = manager.load_latest()
         assert loaded_path == path
         assert loaded == state
 
-    def test_float_sums_live_in_npz_not_json(
+    def test_floats_round_trip_bit_for_bit(
         self, manager, trained_cats, feed
     ):
+        """JSON alone restores every float exactly, sign of zero and
+        subnormals included -- no binary side file is needed."""
         detector = run_detector(trained_cats, feed[:80])
+        state = detector.export_state()
+        assert state["items"], "expected tracked items"
+        specials = [0.1 + 0.2, 5e-324, -0.0, 1.7976931348623157e308]
+        names = (
+            "sum_sentiment",
+            "sum_entropy",
+            "sum_punctuation_ratio",
+            "sum_bigram_ratio_terms",
+        )
+        for i, entry in enumerate(state["items"]):
+            entry["last_probability"] = specials[i % 4]
+            for j, name in enumerate(names, start=1):
+                entry["accumulator"][name] = specials[(i + j) % 4]
+        manager.save(state)
+        loaded, _ = manager.load_latest()
+
+        def hexes(snapshot):
+            return [
+                [entry["last_probability"].hex()]
+                + [entry["accumulator"][name].hex() for name in names]
+                for entry in snapshot["items"]
+            ]
+
+        assert hexes(loaded) == hexes(state)
+        restored = StreamingDetector.from_state(trained_cats, loaded)
+        for entry in state["items"]:
+            item = restored._items[entry["item_id"]]
+            assert item.last_probability.hex() == (
+                entry["last_probability"].hex()
+            )
+            for name in names:
+                assert getattr(item.accumulator, name).hex() == (
+                    entry["accumulator"][name].hex()
+                )
+
+    def test_version_1_directory_is_refused(
+        self, manager, trained_cats, feed
+    ):
+        """A checkpoint of the older JSON-plus-npz format is refused by
+        version, not half-read."""
+        detector = run_detector(trained_cats, feed[:20])
         path = manager.save(detector.export_state())
         payload = json.loads(
             (path / "state.json").read_text(encoding="utf-8")
         )
-        assert payload["items"], "expected tracked items"
-        for entry in payload["items"]:
-            assert "last_probability" not in entry
-            assert "sum_sentiment" not in entry["accumulator"]
-        arrays = np.load(path / "sums.npz")
-        assert len(arrays["item_id"]) == len(payload["items"])
+        payload["checkpoint_version"] = 1
+        (path / "state.json").write_text(
+            json.dumps(payload), encoding="utf-8"
+        )
+        with pytest.raises(CheckpointError, match="checkpoint version 1 "):
+            manager.load_dir(path)
+        with pytest.raises(CheckpointError, match="checkpoint version 1 "):
+            manager.load_latest()
 
     def test_prune_keeps_newest(self, manager, trained_cats, feed):
         detector = run_detector(trained_cats, feed[:20])
@@ -100,7 +144,7 @@ class TestManager:
     def test_all_corrupt_raises(self, manager, trained_cats, feed):
         detector = run_detector(trained_cats, feed[:20])
         path = manager.save(detector.export_state())
-        (path / "sums.npz").unlink()
+        (path / "state.json").write_text("{ torn", encoding="utf-8")
         with pytest.raises(CheckpointError):
             manager.load_latest()
 

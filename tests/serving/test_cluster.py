@@ -314,6 +314,18 @@ class TestClusterServing:
         assert router("POST", "/ingest", {"comments": []})[0] == 200
         assert router("POST", "/score", {"item_ids": []})[0] == 200
 
+    def test_router_rejects_lone_surrogate_text(self, router, feed):
+        """Text no checkpoint can encode dies at the router: 400, and
+        no shard sees the record."""
+        row = dataclasses.asdict(feed[0])
+        row["content"] += "\ud83d"
+        _, before = router("GET", "/stats")
+        status, body = router("POST", "/ingest", {"comments": [row]})
+        assert status == 400
+        assert "UTF-8" in body["error"]
+        _, after = router("GET", "/stats")
+        assert after["records_observed"] == before["records_observed"]
+
     def test_misrouted_record_rejected_by_worker(self, cluster, feed):
         """A worker refuses records another shard owns (router bug
         containment): 400, and no state is mutated."""

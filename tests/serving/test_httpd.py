@@ -158,7 +158,7 @@ class TestDefaultBatching:
         body = json.dumps({"item_ids": feed_item_ids[:4]})
         samples = []
         try:
-            service.ingest(feed, timeout=60)
+            service.feed(feed, timeout=60)
             for _ in range(30):
                 conn = http.client.HTTPConnection(
                     "127.0.0.1", port, timeout=30
@@ -223,6 +223,23 @@ class TestErrorMapping:
             status, payload = client.request("POST", "/ingest", body)
             assert status == 400, body
             assert "error" in payload
+
+    def test_lone_surrogate_text_is_400(self, served, feed):
+        """A ``"\\ud83d"`` escape decodes to a lone surrogate, which no
+        checkpoint can encode: the whole request is refused, unapplied."""
+        service, client = served
+        row = dataclasses.asdict(feed[0])
+        row["content"] += "\ud83d"
+        status, payload = client.request(
+            "POST",
+            "/ingest",
+            {"comments": [row], "sales": [[row["item_id"], 9]]},
+        )
+        assert status == 400
+        assert "UTF-8" in payload["error"]
+        stats = service.stats()
+        assert stats["records_observed"] == 0
+        assert stats["sales_updates"] == 0
 
     def test_null_item_ids_are_400_not_dropped(self, served):
         _, client = served
@@ -289,7 +306,7 @@ class TestAtomicAcknowledgement:
 
     def _occupy_scheduler(self, service, started):
         """Park the scheduler inside the gate on a no-op batch."""
-        service.submit_ingest([])
+        service.submit_feed([])
         assert started.wait(10)
 
     def test_ack_applies_everything_when_queue_has_room(
@@ -302,7 +319,7 @@ class TestAtomicAcknowledgement:
         request fits the free slot and the ack reports all of it."""
         service, request, started, release = gated_served
         self._occupy_scheduler(service, started)
-        service.submit_ingest([])  # one of two slots -> one free
+        service.submit_feed([])  # one of two slots -> one free
         record = feed[0]
         body = {
             "comments": [dataclasses.asdict(record)],
@@ -331,8 +348,8 @@ class TestAtomicAcknowledgement:
         503, and neither the comments nor the sales update land."""
         service, request, started, release = gated_served
         self._occupy_scheduler(service, started)
-        service.submit_ingest([])
-        service.submit_ingest([])  # queue now at capacity (2)
+        service.submit_feed([])
+        service.submit_feed([])  # queue now at capacity (2)
         record = feed[0]
         status, payload = request(
             "POST",
