@@ -142,9 +142,10 @@ def closed_loop_load(
 ) -> dict:
     """N closed-loop clients scoring one item per request.
 
-    Returns elapsed seconds, per-request latency percentiles, and the
-    shed (503) count -- 503s are *not* failures, they are the overload
-    contract working.
+    Returns elapsed seconds, per-request latency percentiles, the
+    requests slower than 1 s (a SYN retransmit after a full listen
+    queue shows as one) and the shed (503) count -- 503s are *not*
+    failures, they are the overload contract working.
     """
     barrier = threading.Barrier(n_clients + 1)
     latencies: list[list[float]] = [[] for _ in range(n_clients)]
@@ -193,6 +194,7 @@ def closed_loop_load(
         "rps": round(total / elapsed, 1),
         "latency_p50_ms": round(percentile(flat, 0.50) * 1000, 2),
         "latency_p99_ms": round(percentile(flat, 0.99) * 1000, 2),
+        "over_1s": sum(1 for sample in flat if sample > 1.0),
         "shed_503": sum(shed),
     }
 
@@ -346,6 +348,7 @@ def render(result: dict) -> str:
                  result["scaling"]["floor_enforced"]])
     rows.append(["overload_rps", result["overload"]["rps"]])
     rows.append(["overload_p99_ms", result["overload"]["latency_p99_ms"]])
+    rows.append(["overload_over_1s", result["overload"]["over_1s"]])
     rows.append(["overload_shed_503", result["overload"]["shed_503"]])
     rows.append(["recovery_restart_s", result["recovery"]["restart_s"]])
     rows.append(["recovery_replay_s", result["recovery"]["replay_s"]])

@@ -16,8 +16,9 @@ Taobao snapshot).  Six timed phases, one process:
   deterministic-merge guarantee of :mod:`repro.core.parallel_analysis`
   measured end to end.  1-CPU hosts skip the rerun: it would double
   bench wall time only to record a misleading "parallel" number;
-* **extract (live)** -- the pre-columnar restart path: fold per-comment
-  stats into the Table II feature matrix straight from analysis;
+* **extract (live)** -- the restart path without a persisted store:
+  ``CATS.extract_features`` re-analyzes every comment into in-memory
+  columnar stores and reads the Table II matrix from them;
 * **rehydrate** -- the post-columnar restart path: memory-map the
   persisted store and rebuild the same matrix by pure array slicing,
   with **zero** re-segmentation (asserted against the analyzer's
@@ -65,6 +66,7 @@ from benchutil import peak_rss_mib, write_outputs
 
 from repro.analysis.reporting import render_table
 from repro.core.columnar import ColumnarCommentStore, append_comments
+from repro.core.parallel_analysis import analyze_many
 from repro.core.features import FeatureExtractor
 
 
@@ -158,12 +160,12 @@ def run(quick: bool, scale: float | None = None) -> dict:
             extractor_parallel = FeatureExtractor(analyzer)
             store_parallel = ColumnarCommentStore(analyzer.interner)
             t0 = time.perf_counter()
-            append_comments(
+            analyze_many(
                 store_parallel,
                 extractor_parallel,
                 records,
+                n_analyze_workers,
                 chunk_size=ANALYZE_CHUNK_SIZE,
-                n_workers=n_analyze_workers,
             )
             analyze_parallel_s = time.perf_counter() - t0
         else:

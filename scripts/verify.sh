@@ -67,3 +67,6 @@ if [ -n "$artefacts_before" ]; then
 fi
 
 echo "==> verify OK"
+# Simplicity changes are judged by this number, so every log carries it.
+echo "==> src/ line count"
+find src -name '*.py' | xargs wc -l | tail -1

@@ -61,6 +61,7 @@ from repro.core.pipeline import (
     run_crawl,
     train_cats,
 )
+from repro.collector.records import RecordParseError
 from repro.collector.storage import DatasetStore
 from repro.datasets.builders import (
     build_d1,
@@ -165,7 +166,8 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro import parallel
-    from repro.core.columnar import ColumnarCommentStore, append_comments
+    from repro.core.columnar import ColumnarCommentStore
+    from repro.core.parallel_analysis import analyze_many
 
     cats = load_cats(args.model_dir)
     store = DatasetStore.load(args.data_dir)
@@ -178,12 +180,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         cats.analyzer.interner, analyzer_hash=analyzer_hash
     )
     fallbacks = parallel.STATS["fallbacks"]
-    appended = append_comments(
+    appended = analyze_many(
         columnar,
         cats.feature_extractor,
         store.comments,
+        args.workers,
         chunk_size=args.chunk_size,
-        n_workers=args.workers,
     )
     generation = columnar.save(args.store_dir)
     # What ran: the request after the executor's clamp.
@@ -951,7 +953,10 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RecordParseError as exc:  # malformed input, not a crash
+        raise SystemExit(f"malformed input record: {exc}")
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import json
+import re
 
 from repro.collector.cleaning import clean_comments, clean_items, clean_shops
 from repro.core.persistence import write_jsonl_atomic
@@ -21,8 +22,28 @@ from repro.collector.records import (
     CommentRecord,
     CrawledItem,
     ItemRecord,
+    RecordParseError,
     ShopRecord,
 )
+
+#: A JSON escape of a UTF-16 surrogate (``\uD800``-``\uDFFF``).
+_SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
+
+
+def _check_utf8(file_path: Path) -> None:
+    """Raise :class:`RecordParseError` at the first line holding a lone
+    surrogate.  The writer encodes strictly, so only an escape can carry
+    one in; one regex pass clears the common case."""
+    if _SURROGATE_ESCAPE.search(file_path.read_bytes()) is None:
+        return
+    with open(file_path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                json.dumps(json.loads(line), ensure_ascii=False).encode()
+            except UnicodeEncodeError as exc:
+                raise RecordParseError(f"{file_path}:{number}: {exc}")
+            except ValueError:
+                continue  # a blank line; the loader parses the rest
 
 
 class DatasetStore:
@@ -92,13 +113,16 @@ class DatasetStore:
 
     @classmethod
     def load(cls, directory: str | Path) -> "DatasetStore":
-        """Load a store previously written by :meth:`save`."""
+        """Load a store previously written by :meth:`save`; text that
+        cannot be written back as UTF-8 raises :class:`RecordParseError`
+        naming its file and line."""
         path = Path(directory)
 
         def read(name: str) -> list[dict]:
             file_path = path / f"{name}.jsonl"
             if not file_path.exists():
                 return []
+            _check_utf8(file_path)
             with open(file_path, encoding="utf-8") as fh:
                 return [json.loads(line) for line in fh if line.strip()]
 

@@ -10,13 +10,14 @@ duplicate is wasted segmentation and sentiment work.
 
 :class:`AnalysisCache` is a plain LRU keyed by raw comment text.
 :meth:`FeatureExtractor.comment_stats_many` consults it -- streaming
-accumulation, the serving layer, shadow scoring and ``extract_many``
-all funnel through there -- so a comment seen on those paths is
-analyzed at most once while it stays resident.  The batch store path
-(``append_comments`` and the parallel ``analyze_many``) runs the chunk
-kernel :meth:`FeatureExtractor.comment_columns` directly and neither
-reads nor fills the cache: on a one-pass corpus it would hit too rarely
-to pay for the per-comment objects it needs.
+accumulation, the serving layer and shadow scoring all funnel through
+there -- so a comment seen on those paths is analyzed at most once
+while it stays resident.  The batch paths (``append_comments``, the
+parallel ``analyze_many`` and ``extract_many``, which analyzes into
+in-memory stores) run the chunk kernel
+:meth:`FeatureExtractor.comment_columns` directly and neither read nor
+fill the cache: on a one-pass corpus it would hit too rarely to pay
+for the per-comment objects it needs.
 
 Invalidation rule: cached stats are only valid for the analyzer
 resources they were computed under.  The extractor keys its cache on

@@ -1,13 +1,9 @@
 """Append-only columnar store for analyzed comments.
 
 Everything upstream of the detector works on *analyzed* comments: the
-segmentation interned to ``int32`` ids plus a dozen per-comment scalars
-(:class:`~repro.core.features.CommentStats`).  Until now those lived
-only as Python objects inside per-item buffers, which means (a) every
-restart re-runs segmentation and NB sentiment over the full history and
-(b) rescoring an item walks Python object graphs.  This module extends
-the PackedEnsemble philosophy -- flat arrays, one numpy pass -- upstream
-to the analysis layer:
+segmentation interned to ``int32`` ids plus a dozen per-comment scalars.
+This module keeps them as flat arrays, so a restart need not re-run the
+analysis and a feature matrix is one numpy pass:
 
 * one flat ``int32`` **token arena** holding every comment's interned
   ids back to back, with an ``int64`` ``offsets`` array (length
@@ -17,16 +13,13 @@ to the analysis layer:
   entropy / punctuation ratio / bigram term / append timestamp as
   ``float64``.
 
-Rescoring an item becomes pure array slicing: gather the item's rows,
-segment-sum the stat columns, count distinct token ids in the gathered
-arena ranges -- no per-comment Python objects.  The resulting feature
-matrix is **bit-identical** to the live
-:class:`~repro.core.features.ItemAccumulator` fold: integer sums are
-exact in any order, and float columns are summed with a masked k-step
-loop that replays each item's left-to-right ``float64`` additions in
-the accumulator's exact order (numpy's ``reduceat``/``sum`` use
-pairwise summation and are *not* bit-identical -- see
-``_segmented_sequential_sum``).
+Rescoring an item is array slicing: gather the item's rows, sum the
+stat columns, count distinct token ids in the gathered arena ranges,
+and apply :func:`~repro.core.features.table2_rows`.  The matrix is
+**bit-identical** to the :class:`~repro.core.features.ItemAccumulator`
+fold: ``np.bincount(seg, weights=w)`` adds each item's values left to
+right from 0.0 in row order, the accumulator's addition sequence
+(numpy's pairwise ``reduceat``/``sum`` would round differently).
 
 Persistence and crash safety
 ----------------------------
@@ -76,7 +69,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.features import N_FEATURES, CommentStats
+from repro.core.features import (
+    N_FEATURES,
+    SUMMED_COLUMNS,
+    CommentStats,
+    table2_rows,
+)
 from repro.core.interning import (
     TokenInterner,
     gather_ranges,
@@ -133,33 +131,6 @@ STAT_COLUMN_NAMES: tuple[str, ...] = tuple(
 
 class ColumnarStoreError(RuntimeError):
     """Raised on invalid store operations or a corrupt on-disk store."""
-
-
-# -- array kernels -----------------------------------------------------------
-
-
-def _segmented_sequential_sum(
-    values: np.ndarray, starts: np.ndarray, lens: np.ndarray
-) -> np.ndarray:
-    """Per-segment left-to-right ``float64`` sums.
-
-    ``out[i]`` equals the result of the Python loop
-    ``acc = 0.0; for v in values[starts[i]:starts[i]+lens[i]]: acc += v``
-    *bit-for-bit*: step ``k`` of the loop adds every segment's ``k``-th
-    element with one vectorized ``+``, so each segment sees exactly the
-    accumulator's addition sequence.  ``np.add.reduceat`` / ``np.sum``
-    use pairwise summation and round differently -- they must not be
-    used for the float feature columns.
-    """
-    out = np.zeros(len(starts), dtype=np.float64)
-    if len(lens) == 0:
-        return out
-    max_len = int(lens.max()) if len(lens) else 0
-    values = np.asarray(values, dtype=np.float64)
-    for k in range(max_len):
-        mask = lens > k
-        out[mask] = out[mask] + values[starts[mask] + k]
-    return out
 
 
 class _Growable:
@@ -321,13 +292,10 @@ class ColumnarCommentStore:
         else:
             tokens = np.empty(0, dtype=np.int32)
         columns = {
-            "n_chars": [len(r.content) for r in records],
-            **{
-                name: [getattr(s, name) for s in stats_list]
-                for name in STAT_COLUMN_NAMES
-                if name != "n_chars"
-            },
+            name: [getattr(s, name) for s in stats_list]
+            for name in SUMMED_COLUMNS
         }
+        columns["n_chars"] = [len(r.content) for r in records]
         return self.append_arrays(
             item_ids=[int(r.item_id) for r in records],
             comment_ids=[int(r.comment_id) for r in records],
@@ -442,77 +410,44 @@ class ColumnarCommentStore:
 
         Row ``i`` is bit-identical (``np.array_equal``) to folding item
         ``i``'s stored comments through a fresh
-        :class:`~repro.core.features.ItemAccumulator` in append order
-        -- which is itself what live extraction computes.  Items with
-        no stored comments get the all-zero row, matching
-        ``ItemAccumulator.to_vector`` on empty.
-
-        No segmentation, sentiment scoring or per-comment object
-        materialization happens here: the whole computation is gathers
-        and segment reductions over the committed columns.
+        :class:`~repro.core.features.ItemAccumulator` in append order.
+        Items with no stored comments get the all-zero row.  Only
+        gathers and ``np.bincount`` sums over the committed columns run
+        here: no segmentation, sentiment or per-comment objects.
         """
         item_ids = np.asarray(list(item_ids), dtype=np.int64)
         n_items = len(item_ids)
-        matrix = np.zeros((n_items, N_FEATURES), dtype=np.float64)
         if n_items == 0 or self.n_comments == 0:
-            return matrix
+            return np.zeros((n_items, N_FEATURES))
         order, sorted_items = self._item_index()
         left = np.searchsorted(sorted_items, item_ids, side="left")
         right = np.searchsorted(sorted_items, item_ids, side="right")
         lens = right - left
+        # Each item's rows in append order, items in request order.
         rows = gather_ranges(order, left, right)
         self.n_rehydrated_rows += int(len(rows))
-        if len(rows) == 0:
-            return matrix
-        starts = np.zeros(n_items, dtype=np.int64)
-        starts[1:] = np.cumsum(lens[:-1])
         seg = np.repeat(np.arange(n_items), lens)
-
         offsets = np.asarray(self.offsets())
-        n_words_rows = offsets[rows + 1] - offsets[rows]
-
-        def int_sum(values: np.ndarray) -> np.ndarray:
-            # Exact for integer-valued weights below 2**53.
-            return np.bincount(
-                seg, weights=values.astype(np.float64), minlength=n_items
-            )
-
-        def seq_sum(name: str) -> np.ndarray:
-            return _segmented_sequential_sum(
-                np.asarray(self.column(name))[rows], starts, lens
-            )
-
-        g = lambda name: np.asarray(self.column(name))[rows]
-        sum_pos = int_sum(g("n_positive_distinct"))
-        sum_delta = int_sum(g("pos_neg_delta"))
-        sum_punct = int_sum(g("n_punctuation"))
-        sum_bigrams = int_sum(g("n_positive_bigrams"))
-        total_words = int_sum(n_words_rows)
-
+        n_words = offsets[rows + 1] - offsets[rows]
         tokens = gather_ranges(self.tokens(), offsets[rows], offsets[rows + 1])
-        sorted_seg, _, edges = sort_pairs(
-            tokens, np.repeat(seg, n_words_rows)
-        )
-        distinct = np.bincount(
-            sorted_seg[edges[:-1]], minlength=n_items
-        ).astype(np.float64)
+        sorted_seg, _, edges = sort_pairs(tokens, np.repeat(seg, n_words))
 
-        n = lens.astype(np.float64)
-        safe_n = np.where(lens > 0, n, 1.0)
-        safe_tw = np.where(total_words > 0, total_words, 1.0)
-        matrix[:, 0] = sum_pos / safe_n
-        matrix[:, 1] = sum_delta / safe_n
-        matrix[:, 2] = np.where(total_words > 0, distinct / safe_tw, 0.0)
-        matrix[:, 3] = seq_sum("sentiment") / safe_n
-        matrix[:, 4] = seq_sum("entropy") / safe_n
-        matrix[:, 5] = total_words / safe_n
-        matrix[:, 6] = total_words
-        matrix[:, 7] = sum_punct
-        matrix[:, 8] = seq_sum("punctuation_ratio") / safe_n
-        matrix[:, 9] = sum_bigrams / safe_n
-        matrix[:, 10] = seq_sum("bigram_ratio_term") / safe_n
-        matrix[lens == 0] = 0.0
-        return matrix
+        def item_sums(values: np.ndarray) -> np.ndarray:
+            return np.bincount(seg, weights=values, minlength=n_items)
+
+        return table2_rows(
+            np.column_stack(
+                [
+                    lens,
+                    item_sums(n_words),
+                    np.bincount(sorted_seg[edges[:-1]], minlength=n_items),
+                    *(
+                        item_sums(np.asarray(self.column(name))[rows])
+                        for name in SUMMED_COLUMNS
+                    ),
+                ]
+            )
+        )
 
     # -- persistence -------------------------------------------------------
 
@@ -759,7 +694,6 @@ def append_comments(
     extractor,
     records: Sequence,
     chunk_size: int = 8192,
-    n_workers: int | None = None,
 ) -> int:
     """Analyze *records* through *extractor* and append them in chunks.
 
@@ -769,25 +703,11 @@ def append_comments(
     per-comment objects, no analysis cache.  The chunked batching keeps
     peak memory flat on multi-million-comment datasets while still
     amortizing sentiment into one NB call per chunk.  Returns the
-    number of rows appended.
-
-    With ``n_workers > 1`` the chunks are analyzed by the parallel
-    sharded engine (:mod:`repro.core.parallel_analysis`) and merged
-    deterministically -- the resulting store content and interner are
-    bit-identical to the serial run's for any worker count.
+    number of rows appended.  :func:`~repro.core.parallel_analysis.
+    analyze_many` runs it when it gets one worker.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    if n_workers and n_workers > 1:
-        from repro.core.parallel_analysis import analyze_many
-
-        return analyze_many(
-            store,
-            extractor,
-            records,
-            n_workers=n_workers,
-            chunk_size=chunk_size,
-        )
     appended = 0
     for start in range(0, len(records), chunk_size):
         chunk = records[start : start + chunk_size]

@@ -21,7 +21,8 @@ features computable from the same public comment data:
 
 :class:`ExtendedFeatureExtractor` appends these to the paper's 11, so
 the extended matrix is a strict superset and ablation comparisons are
-column slices.
+column slices.  All but ``dateBurstiness`` (from the comment dates)
+come from one analyzed columnar store, so each comment is analyzed once.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 
 from repro.core.analyzer import SemanticAnalyzer
 from repro.core.features import FEATURE_NAMES, FeatureExtractor
+from repro.core.interning import sort_pairs
 
 EXTENDED_FEATURE_NAMES: tuple[str, ...] = FEATURE_NAMES + (
     "maxCommentLength",
@@ -45,6 +47,7 @@ N_EXTENDED_FEATURES = len(EXTENDED_FEATURE_NAMES)
 
 _BURST_WINDOW_SECONDS = 7 * 86_400
 _POSITIVE_SENTIMENT_CUTOFF = 0.9
+_BURST_COLUMN = EXTENDED_FEATURE_NAMES.index("dateBurstiness")
 
 
 def date_burstiness(dates: Sequence[str]) -> float:
@@ -79,6 +82,38 @@ def date_burstiness(dates: Sequence[str]) -> float:
     return best / len(arr)
 
 
+def _store_extras(store, first: int, stop: int) -> np.ndarray:
+    """The four extended columns of items ``first..stop-1`` (ids: list
+    positions) of an analyzed store, from its offsets, sentiment column
+    and distinct token ids per comment; ``dateBurstiness`` is left 0."""
+    n_items = stop - first
+    item = np.asarray(store.column("item_id")) - first
+    n_words = np.diff(np.asarray(store.offsets()))
+    rows = np.repeat(np.arange(len(item)), n_words)
+    sorted_rows, _, edges = sort_pairs(np.asarray(store.tokens()), rows)
+    distinct = np.bincount(sorted_rows[edges[:-1]], minlength=len(item))
+    sentiment = np.asarray(store.column("sentiment"))
+    longest = np.zeros(n_items)
+    np.maximum.at(longest, item, n_words)
+    n_comments, n_positive, total_words, n_repeats = (
+        np.bincount(item, weights=w, minlength=n_items)
+        for w in (
+            None,
+            sentiment >= _POSITIVE_SENTIMENT_CUTOFF,
+            n_words,
+            n_words - distinct,  # repeated words
+        )
+    )
+    return np.column_stack(
+        [
+            longest,
+            n_positive / np.maximum(n_comments, 1.0),
+            np.zeros(n_items),
+            n_repeats / np.maximum(total_words, 1.0),
+        ]
+    )
+
+
 class ExtendedFeatureExtractor(FeatureExtractor):
     """The 11 Table II features plus the four extended features.
 
@@ -88,7 +123,7 @@ class ExtendedFeatureExtractor(FeatureExtractor):
     """
 
     def __init__(self, analyzer: SemanticAnalyzer) -> None:
-        super().__init__(analyzer)
+        super().__init__(analyzer, cache_size=None)  # reads stores only
 
     def extract_extended(
         self,
@@ -96,34 +131,7 @@ class ExtendedFeatureExtractor(FeatureExtractor):
         dates: Sequence[str] | None = None,
     ) -> np.ndarray:
         """Extended feature vector for one item."""
-        base = super().extract(comments)
-        if len(comments) == 0:
-            return np.concatenate([base, np.zeros(4)])
-
-        max_length = 0
-        positive_count = 0
-        total_words = 0
-        duplicate_words = 0
-        for text in comments:
-            words = self.analyzer.segment(text)
-            max_length = max(max_length, len(words))
-            total_words += len(words)
-            duplicate_words += len(words) - len(set(words))
-            if (
-                self.analyzer.sentiment.score(words)
-                >= _POSITIVE_SENTIMENT_CUTOFF
-            ):
-                positive_count += 1
-        burst = date_burstiness(dates) if dates else 0.0
-        extra = np.array(
-            [
-                float(max_length),
-                positive_count / len(comments),
-                burst,
-                (duplicate_words / total_words) if total_words else 0.0,
-            ]
-        )
-        return np.concatenate([base, extra])
+        return self._extended_matrix([comments], [dates])[0]
 
     def extract_items(self, items: Sequence) -> np.ndarray:
         """Extended feature matrix for comment-record-bearing items.
@@ -132,12 +140,33 @@ class ExtendedFeatureExtractor(FeatureExtractor):
         :class:`~repro.collector.records.CrawledItem`, whose comments
         carry ``date`` fields.
         """
-        if len(items) == 0:
+        return self._extended_matrix(
+            [item.comment_texts for item in items],
+            [
+                [getattr(comment, "date", "") for comment in item.comments]
+                for item in items
+            ],
+        )
+
+    def _extended_matrix(
+        self,
+        comment_lists: Sequence[Sequence[str]],
+        date_lists: Sequence[Sequence[str] | None],
+    ) -> np.ndarray:
+        blocks = [
+            np.hstack(
+                [
+                    store.feature_matrix(range(first, stop)),
+                    _store_extras(store, first, stop),
+                ]
+            )
+            for store, first, stop in self._analyzed_stores(comment_lists)
+        ]
+        if not blocks:
             return np.zeros((0, N_EXTENDED_FEATURES))
-        rows = []
-        for item in items:
-            dates = [
-                getattr(comment, "date", "") for comment in item.comments
-            ]
-            rows.append(self.extract_extended(item.comment_texts, dates))
-        return np.vstack(rows)
+        matrix = np.vstack(blocks)
+        matrix[:, _BURST_COLUMN] = [
+            date_burstiness(dates) if len(comments) and dates else 0.0
+            for comments, dates in zip(comment_lists, date_lists)
+        ]
+        return matrix

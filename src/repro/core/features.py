@@ -30,39 +30,37 @@ Incremental computation
 -----------------------
 
 Every feature above is decomposable into per-comment statistics plus
-running sums over them:
+per-item sums over them:
 
 * :meth:`FeatureExtractor.comment_columns` is the one implementation of
   those statistics: a chunk kernel that turns a batch of texts into the
   columnar store's payload (interned token arena, offsets and the nine
   stat columns) with array operations over the whole batch;
-* :class:`CommentStats` captures everything a single comment contributes
-  (one segmentation + one sentiment call, computed exactly once), built
-  from the kernel's columns for the streaming and serving paths;
-* :class:`ItemAccumulator` folds ``CommentStats`` into running sums (and
-  a unique-word multiset) so that :meth:`ItemAccumulator.to_vector` is
-  O(1) after O(new comments) updates.
+* :func:`table2_rows` is the one implementation of the 11 formulas over
+  the per-item sums;
+* batch extraction sums a store's columns
+  (:meth:`~repro.core.columnar.ColumnarCommentStore.feature_matrix`);
+  :class:`ItemAccumulator` keeps running sums of one item's
+  :class:`CommentStats` as comments arrive (streaming and serving).
 
-``FeatureExtractor.extract`` itself is implemented on top of the
-accumulator, so batch and incremental extraction are *bit-identical* by
-construction when comments are folded in the same order -- the invariant
-the streaming detector relies on (see :mod:`repro.core.streaming`).
+Both add each item's float values left to right from 0.0 in comment
+order, so batch and incremental rows are *bit-identical* -- the
+invariant the streaming detector relies on (see
+:mod:`repro.core.streaming`).
 
-Parallel batches
-----------------
+Batches
+-------
 
-``extract_many``/``extract_items`` accept an opt-in ``n_workers``
-parameter.  When the :mod:`repro.parallel` executor grants more than
-one worker, the item batch is split into one contiguous chunk per
-worker; each worker clones the extractor once and returns its chunk's
-feature rows.  Rows are computed independently, so the resulting matrix
-equals the serial result exactly.  The default stays serial (spawning
-processes is not worth it for small batches).
+``extract_many``/``extract_items`` analyze the batch into in-memory
+columnar stores and read each store's ``feature_matrix``.  The opt-in
+``n_workers`` runs the analysis on the
+:mod:`repro.core.parallel_analysis` engine; the matrix, interner and
+segmentation count equal the serial run's.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -76,7 +74,6 @@ from repro.core.interning import (
     gather_ranges,
     sort_pairs,
 )
-from repro.parallel import effective_workers, map_ordered, worker_state
 from repro.text.tokenizer import PUNCTUATION
 
 #: Feature names in column order, spelled as in the paper.
@@ -158,8 +155,8 @@ class CommentStats:
 
 
 #: :class:`CommentStats` fields read straight from a stat column, in
-#: field order.
-_COLUMN_FIELDS: tuple[str, ...] = (
+#: field order; also the order of their sums in :func:`table2_rows`.
+SUMMED_COLUMNS: tuple[str, ...] = (
     "n_positive_distinct",
     "pos_neg_delta",
     "sentiment",
@@ -182,11 +179,37 @@ def stats_from_columns(
     tokens, offsets, columns = batch
     words = interner.decode(tokens.tolist())
     bounds = offsets.tolist()
-    values = zip(*(columns[name].tolist() for name in _COLUMN_FIELDS))
+    values = zip(*(columns[name].tolist() for name in SUMMED_COLUMNS))
     return [
         CommentStats(b - a, Counter(words[a:b]), *row, token_ids=tokens[a:b])
         for a, b, row in zip(bounds, bounds[1:], values)
     ]
+
+
+def table2_rows(sums: np.ndarray) -> np.ndarray:
+    """Table II rows from per-item sums; the one place the formulas live.
+
+    *sums* is an ``(n_items, 11)`` ``float64`` matrix: each item's
+    comment count, word total and distinct-word count, then one sum per
+    :data:`SUMMED_COLUMNS` entry.  Each output is one IEEE operation on
+    the sums, so callers whose sums agree get bit-identical rows; an
+    item without comments (all sums 0) gets the all-zero row.
+    """
+    n = np.maximum(sums[:, :1], 1.0)
+    words = sums[:, 1:2]
+    means = sums[:, 3:] / n
+    return np.hstack(
+        [
+            means[:, 0:2],  # positive words, positive/negative delta
+            # No words means no distinct words: 0 / 1.
+            sums[:, 2:3] / np.maximum(words, 1.0),
+            means[:, 2:4],  # sentiment, entropy
+            words / n,
+            words,
+            sums[:, 7:8],  # punctuation marks: a sum, not a mean
+            means[:, 5:8],  # punctuation ratio, bigrams, bigram ratio
+        ]
+    )
 
 
 @dataclass
@@ -194,10 +217,8 @@ class ItemAccumulator:
     """Running sums behind one item's feature vector.
 
     Fold comments in with :meth:`add`; read the current Table II vector
-    with :meth:`to_vector` in O(1).  Folding the same comments in the
-    same order as a batch :meth:`FeatureExtractor.extract` call yields a
-    bit-identical vector (running sums see the identical float-addition
-    sequence).
+    with :meth:`to_vector`, bit-identical to
+    :meth:`FeatureExtractor.extract` of the same comments in order.
     """
 
     n_comments: int = 0
@@ -205,8 +226,8 @@ class ItemAccumulator:
     sum_pos_neg_delta: int = 0
     total_words: int = 0
     #: Unique-word multiset: word -> total occurrences over all folded
-    #: comments.  ``len(word_counts)`` is the distinct-word count; the
-    #: multiset (rather than a set) keeps :meth:`remove` well-defined.
+    #: comments.  ``len(word_counts)`` is the distinct-word count;
+    #: checkpoints store the counts.
     word_counts: Counter = field(default_factory=Counter)
     sum_sentiment: float = 0.0
     sum_entropy: float = 0.0
@@ -234,63 +255,30 @@ class ItemAccumulator:
         for stats in stats_list:
             self.add(stats)
 
-    def remove(self, stats: CommentStats) -> None:
-        """Unfold one previously-added comment (e.g. a deleted review).
-
-        Integer counts are exact; float sums are reversed arithmetically,
-        which can differ from a fresh accumulation by rounding noise --
-        the bit-identity invariant only covers append-only use.
-        """
-        if self.n_comments == 0:
-            raise ValueError("cannot remove from an empty accumulator")
-        self.n_comments -= 1
-        self.sum_positive_distinct -= stats.n_positive_distinct
-        self.sum_pos_neg_delta -= stats.pos_neg_delta
-        self.total_words -= stats.n_words
-        for word, count in stats.word_counts.items():
-            remaining = self.word_counts[word] - count
-            if remaining > 0:
-                self.word_counts[word] = remaining
-            else:
-                del self.word_counts[word]
-        self.sum_sentiment -= stats.sentiment
-        self.sum_entropy -= stats.entropy
-        self.sum_punctuation -= stats.n_punctuation
-        self.sum_punctuation_ratio -= stats.punctuation_ratio
-        self.sum_positive_bigrams -= stats.n_positive_bigrams
-        self.sum_bigram_ratio_terms -= stats.bigram_ratio_term
-
-    @property
-    def n_unique_words(self) -> int:
-        """Distinct words over all folded comments."""
-        return len(self.word_counts)
+    def sums(self) -> tuple:
+        """This item's row of :func:`table2_rows` input."""
+        return (
+            self.n_comments, self.total_words, len(self.word_counts),
+            self.sum_positive_distinct, self.sum_pos_neg_delta,
+            self.sum_sentiment, self.sum_entropy, self.sum_punctuation,
+            self.sum_punctuation_ratio, self.sum_positive_bigrams,
+            self.sum_bigram_ratio_terms,
+        )
 
     def to_vector(self) -> np.ndarray:
         """Current Table II feature vector; all-zero when empty."""
-        n = self.n_comments
-        if n == 0:
-            return np.zeros(N_FEATURES)
-        return np.array(
-            [
-                self.sum_positive_distinct / n,
-                self.sum_pos_neg_delta / n,
-                (len(self.word_counts) / self.total_words)
-                if self.total_words
-                else 0.0,
-                self.sum_sentiment / n,
-                self.sum_entropy / n,
-                self.total_words / n,
-                float(self.total_words),
-                float(self.sum_punctuation),
-                self.sum_punctuation_ratio / n,
-                self.sum_positive_bigrams / n,
-                self.sum_bigram_ratio_terms / n,
-            ]
-        )
+        return table2_rows(np.array([self.sums()], dtype=np.float64))[0]
 
 
 #: Default bound on the shared per-comment analysis cache.
 DEFAULT_CACHE_SIZE = 32768
+
+#: Comments per in-memory store in batch extraction.  Bounds peak
+#: memory; a larger store saves little time (one worker pool per store).
+BATCH_STORE_COMMENTS = 65536
+
+#: One comment of an extraction batch, as the store path reads it.
+_BatchComment = namedtuple("_BatchComment", "item_id comment_id content")
 
 
 class FeatureExtractor:
@@ -459,9 +447,10 @@ class FeatureExtractor:
         Texts the shared analysis cache holds are served from it; the
         distinct misses run through :meth:`comment_columns` once, and
         their objects are built from its columns and cached.  Duplicate
-        texts share one object.  The streaming, serving and
-        ``extract_many`` paths come through here; the batch store path
-        (:func:`repro.core.columnar.append_comments`) does not.
+        texts share one object.  The streaming, serving and shadow
+        scoring paths come through here; the batch paths
+        (:func:`repro.core.columnar.append_comments`, ``extract_many``)
+        do not.
         """
         interner = self._interner()
         cache = self._cache
@@ -487,11 +476,36 @@ class FeatureExtractor:
             for text, stats in zip(texts, results)
         ]
 
-    def make_accumulator(self) -> ItemAccumulator:
-        """A fresh, empty per-item accumulator."""
-        return ItemAccumulator()
+    # -- batches -----------------------------------------------------------
 
-    # -- single item ------------------------------------------------------
+    def _analyzed_stores(
+        self,
+        comment_lists: Sequence[Sequence[str]],
+        n_workers: int | None = None,
+    ):
+        """Yield ``(store, first, stop)``: items ``first..stop-1``, ids
+        their list positions, analyzed into an in-memory store of at
+        most :data:`BATCH_STORE_COMMENTS` comments (or one larger item)
+        by :func:`~repro.core.parallel_analysis.analyze_many`, serially
+        or on workers whose vocabulary and segmentation counts merge
+        back.  No analysis cache is read or written."""
+        from repro.core.columnar import ColumnarCommentStore
+        from repro.core.parallel_analysis import analyze_many
+
+        stop = 0
+        while stop < len(comment_lists):
+            first, records = stop, []
+            while stop < len(comment_lists) and (
+                not records
+                or len(records) + len(comment_lists[stop])
+                <= BATCH_STORE_COMMENTS
+            ):
+                for text in comment_lists[stop]:
+                    records.append(_BatchComment(stop, len(records), text))
+                stop += 1
+            store = ColumnarCommentStore(self.analyzer.interner)
+            analyze_many(store, self, records, n_workers)
+            yield store, first, stop
 
     def extract(self, comments: Sequence[str]) -> np.ndarray:
         """Feature vector for one item given its raw comment texts.
@@ -499,11 +513,7 @@ class FeatureExtractor:
         An item with no comments yields the all-zero vector (such items
         are normally removed by the rule filter first).
         """
-        accumulator = ItemAccumulator()
-        accumulator.add_many(self.comment_stats_many(list(comments)))
-        return accumulator.to_vector()
-
-    # -- batches -----------------------------------------------------------
+        return self.extract_many([comments])[0]
 
     def extract_many(
         self,
@@ -517,36 +527,17 @@ class FeatureExtractor:
         comment_lists:
             One comment-text list per item.
         n_workers:
-            Extract one contiguous chunk of the batch per worker the
-            executor grants (see :mod:`repro.parallel`).  Rows are
-            independent, so the result equals the serial matrix
-            exactly.  ``None``/``0``/``1`` stays serial.
+            Analysis workers to request from the executor (see
+            :mod:`repro.parallel`); ``None``/``0``/``1`` stays serial.
+            Any count gives the serial run's matrix and interner.
         """
-        if len(comment_lists) == 0:
-            return np.zeros((0, N_FEATURES))
-        workers = effective_workers(n_workers, len(comment_lists))
-        if workers > 1:
-            from repro.core.parallel_analysis import (
-                make_worker_state,
-                worker_initargs,
+        blocks = [
+            store.feature_matrix(range(first, stop))
+            for store, first, stop in self._analyzed_stores(
+                comment_lists, n_workers
             )
-
-            bounds = np.linspace(0, len(comment_lists), workers + 1)
-            bounds = bounds.astype(int)
-            chunks = [
-                list(comment_lists[start:end])
-                for start, end in zip(bounds[:-1], bounds[1:])
-            ]
-            return np.vstack(
-                map_ordered(
-                    _extract_rows,
-                    chunks,
-                    workers,
-                    initializer=make_worker_state,
-                    initargs=worker_initargs(self),
-                )
-            )
-        return np.vstack([self.extract(c) for c in comment_lists])
+        ]
+        return np.vstack(blocks) if blocks else np.zeros((0, N_FEATURES))
 
     def extract_items(
         self, items: Sequence, n_workers: int | None = None
@@ -559,8 +550,3 @@ class FeatureExtractor:
         return self.extract_many(
             [item.comment_texts for item in items], n_workers=n_workers
         )
-
-
-def _extract_rows(comment_lists: Sequence[Sequence[str]]) -> np.ndarray:
-    """Executor task: one chunk's feature rows on the worker's clone."""
-    return worker_state()["extractor"].extract_many(comment_lists)

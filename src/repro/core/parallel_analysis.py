@@ -103,27 +103,17 @@ class AnalysisShard:
 # -- worker side -------------------------------------------------------------
 
 
-def make_worker_state(spec: bytes, cache_size: int | None) -> dict:
-    """Executor initializer: one worker's private extractor, cloned
-    from the pickled analyzer spec."""
+def make_worker_state(spec: bytes) -> dict:
+    """Executor initializer: one worker's private extractor (no
+    analysis cache), cloned from the pickled analyzer spec."""
     from repro.core.analyzer import SemanticAnalyzer
     from repro.core.features import FeatureExtractor
 
     analyzer = SemanticAnalyzer.from_spec(spec)
-    extractor = FeatureExtractor(analyzer, cache_size=cache_size)
     return {
-        "extractor": extractor,
+        "extractor": FeatureExtractor(analyzer, cache_size=None),
         "base_vocab": len(analyzer.interner),
     }
-
-
-def worker_initargs(extractor) -> tuple[bytes, int | None]:
-    """:func:`make_worker_state` arguments that clone *extractor*."""
-    cache = extractor._cache
-    return (
-        extractor.analyzer.clone_spec(),
-        cache.maxsize if cache is not None else None,
-    )
 
 
 def _analyze_chunk_in_state(state: dict, texts: Sequence[str]) -> AnalysisShard:
@@ -185,7 +175,7 @@ def _run_shards(
             text_chunks,
             n_workers,
             initializer=make_worker_state,
-            initargs=worker_initargs(extractor),
+            initargs=(extractor.analyzer.clone_spec(),),
         )
     except BrokenProcessPool as exc:
         raise ParallelAnalysisError(

@@ -26,15 +26,14 @@ Each :class:`_ItemState` owns an
 :class:`~repro.core.features.ItemAccumulator` holding the running sums
 behind the item's Table II feature vector.  On rescore, only comments
 that arrived since the last scoring go through segmentation and
-sentiment (via :meth:`FeatureExtractor.comment_stats_many`); the
-feature vector is then an O(1) :meth:`ItemAccumulator.to_vector` read.
-This turns the lifetime cost of a long-lived item from O(n^2) in
-comments observed (re-extracting the whole buffer at every rescore)
-into O(n): each comment is analyzed exactly once, however often its
-item is rescored.
+sentiment (via :meth:`FeatureExtractor.comment_stats_many`), and the
+due items' rows come from their sums in one
+:func:`~repro.core.features.table2_rows` call.  Each comment is analyzed
+exactly once, however often its item is rescored: O(n) over an item's
+lifetime instead of O(n^2).
 
-Because batch extraction folds comments through the identical
-accumulator in the identical order, the incremental vector is
+Batch extraction sums the same statistics from a columnar store in the
+same order and applies the same formulas, so the incremental vector is
 *bit-identical* to ``FeatureExtractor.extract`` over the full buffer --
 streaming scores equal batch scores exactly, not approximately.
 
@@ -82,7 +81,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.collector.records import CommentRecord
-from repro.core.features import ItemAccumulator
+from repro.core.features import ItemAccumulator, table2_rows
 from repro.core.system import CATS
 
 #: Version tag for :meth:`StreamingDetector.export_state` payloads.
@@ -364,7 +363,8 @@ class StreamingDetector:
             if self.columnar_store is not None:
                 self.columnar_store.append(records, stats_list)
 
-        rows = np.vstack([state.accumulator.to_vector() for _, state in due])
+        sums = [state.accumulator.sums() for _, state in due]
+        rows = table2_rows(np.array(sums, dtype=np.float64))
         if self.feature_observer is not None:
             self.feature_observer(rows)
         detector = self.cats.detector

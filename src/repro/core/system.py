@@ -75,9 +75,9 @@ class CATS:
     ) -> np.ndarray:
         """Feature matrix for *items* (exposes the extractor).
 
-        ``n_workers > 1`` extracts the batch in that many worker
-        processes (see :meth:`FeatureExtractor.extract_many`); rows are
-        identical to the serial result.
+        ``n_workers > 1`` analyzes the batch's comments on that many
+        worker processes (see :meth:`FeatureExtractor.extract_many`);
+        rows are identical to the serial result.
         """
         return self.feature_extractor.extract_items(
             items, n_workers=n_workers
@@ -91,7 +91,7 @@ class CATS:
     ) -> DetectionReport:
         """Detect fraud items among *items* on any platform.
 
-        ``n_workers`` parallelizes feature extraction; ``chunk_size``
+        ``n_workers`` parallelizes comment analysis; ``chunk_size``
         chunks stage-2 batch scoring (see :meth:`Detector.predict_proba`).
         """
         features = self.feature_extractor.extract_items(

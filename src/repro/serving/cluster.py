@@ -50,13 +50,13 @@ import subprocess
 import sys
 import threading
 from collections import deque
-from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
 
 from repro.core.streaming import shard_of
 from repro.serving.httpd import (
     RESPONSE_TIMEOUT_S,
+    JSONHTTPServer,
     JSONRequestHandler,
     parse_ingest_body,
     parse_score_body,
@@ -312,10 +312,8 @@ class ShardWorker:
         )
 
 
-class ClusterHTTPServer(ThreadingHTTPServer):
+class ClusterHTTPServer(JSONHTTPServer):
     """Routing front end over a list of :class:`ShardWorker`\\ s."""
-
-    daemon_threads = True
 
     def __init__(
         self,
@@ -323,10 +321,8 @@ class ClusterHTTPServer(ThreadingHTTPServer):
         workers: list[ShardWorker],
         verbose: bool = False,
     ) -> None:
-        super().__init__(address, ClusterRequestHandler)
+        super().__init__(address, ClusterRequestHandler, verbose)
         self.workers = workers
-        self.verbose = verbose
-        self.telemetry = TelemetryRegistry()
 
     @property
     def n_shards(self) -> int:

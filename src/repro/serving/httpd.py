@@ -133,10 +133,27 @@ def parse_score_body(body: Any) -> list[int]:
         raise ValueError(f"item ids must be integers: {exc}") from exc
 
 
-class DetectionHTTPServer(ThreadingHTTPServer):
-    """Threading HTTP server bound to one :class:`DetectionService`."""
+class JSONHTTPServer(ThreadingHTTPServer):
+    """Threading server base of the shard and router front ends."""
 
     daemon_threads = True
+    #: Listen backlog.  ``socketserver``'s default of 5 makes a burst of
+    #: simultaneous clients wait out a ~1 s SYN retransmit.
+    request_queue_size = 128
+
+    def __init__(
+        self,
+        address: tuple[str, int],
+        handler: type[BaseHTTPRequestHandler],
+        verbose: bool = False,
+    ) -> None:
+        super().__init__(address, handler)
+        self.verbose = verbose
+        self.telemetry = TelemetryRegistry()
+
+
+class DetectionHTTPServer(JSONHTTPServer):
+    """Threading HTTP server bound to one :class:`DetectionService`."""
 
     def __init__(
         self,
@@ -144,10 +161,8 @@ class DetectionHTTPServer(ThreadingHTTPServer):
         service: DetectionService,
         verbose: bool = False,
     ) -> None:
-        super().__init__(address, DetectionRequestHandler)
+        super().__init__(address, DetectionRequestHandler, verbose)
         self.service = service
-        self.verbose = verbose
-        self.telemetry = TelemetryRegistry()
 
 
 class JSONRequestHandler(BaseHTTPRequestHandler):

@@ -192,6 +192,8 @@ class DetectionService:
                 self.restored_from = str(path)
         self._n_sales_updates = 0
         self._last_checkpoint_marker = self._progress_marker()
+        #: ``n_observed`` at the last checkpoint attempt, failed or not.
+        self._last_checkpoint_attempt = self.stream.n_observed
         self.n_checkpoints_written = 0
         self.n_checkpoint_failures = 0
         self.last_checkpoint_error: str | None = None
@@ -564,9 +566,9 @@ class DetectionService:
     def _maybe_checkpoint(self) -> None:
         if self.checkpoints is None or self.checkpoint_every is None:
             return
-        progressed = (
-            self.stream.n_observed - self._last_checkpoint_marker[0]
-        )
+        # From the last attempt: a failing checkpoint is not retried
+        # after every batch.
+        progressed = self.stream.n_observed - self._last_checkpoint_attempt
         if progressed >= self.checkpoint_every:
             self._write_checkpoint()
 
@@ -582,6 +584,7 @@ class DetectionService:
             return
         if self._progress_marker() == self._last_checkpoint_marker:
             return
+        self._last_checkpoint_attempt = self.stream.n_observed
         try:
             state = self.stream.export_state(
                 shard=self.shard, model=self.model_info

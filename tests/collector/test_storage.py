@@ -1,9 +1,17 @@
 """Tests for repro.collector.storage."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.collector.crawler import Crawler
-from repro.collector.records import CommentRecord, ItemRecord, ShopRecord
+from repro.collector.records import (
+    CommentRecord,
+    ItemRecord,
+    RecordParseError,
+    ShopRecord,
+)
 from repro.collector.storage import DatasetStore
 from repro.ecommerce.website import PlatformWebsite
 
@@ -77,3 +85,34 @@ class TestPersistence:
         DatasetStore(shops, items, comments).save(tmp_path / "d")
         for name in ("shops", "items", "comments"):
             assert (tmp_path / "d" / f"{name}.jsonl").exists()
+
+
+class TestLoneSurrogates:
+    """Text that cannot be written as UTF-8 is refused at load, naming
+    the file and line; text that merely looks like an escape loads."""
+
+    def save_with_extra_comment(self, directory, content: str) -> None:
+        shops, items, comments = make_records()
+        DatasetStore(shops, items, comments).save(directory)
+        extra = dataclasses.replace(
+            comments[0], comment_id=102, content=content
+        )
+        path = directory / "comments.jsonl"
+        with open(path, "a", encoding="utf-8") as fh:
+            # ensure_ascii escapes every non-ASCII character as \uXXXX,
+            # as an outside writer might.
+            fh.write(json.dumps(dataclasses.asdict(extra)) + "\n")
+
+    @pytest.mark.parametrize("content", ["hi \ud83d", "\udc00 hi"])
+    def test_lone_surrogate_rejected(self, tmp_path, content):
+        self.save_with_extra_comment(tmp_path / "d", content)
+        with pytest.raises(RecordParseError, match=r"comments\.jsonl:2:"):
+            DatasetStore.load(tmp_path / "d")
+
+    @pytest.mark.parametrize(
+        "content", ["emoji \U0001f600", "a literal \\ud83d", "plain"]
+    )
+    def test_lookalikes_load(self, tmp_path, content):
+        self.save_with_extra_comment(tmp_path / "d", content)
+        loaded = DatasetStore.load(tmp_path / "d")
+        assert loaded.comments[-1].content == content

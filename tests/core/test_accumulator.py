@@ -11,12 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collections import Counter
+
 from repro.core.features import (
     FEATURE_NAMES,
     N_FEATURES,
+    SUMMED_COLUMNS,
     FeatureExtractor,
     ItemAccumulator,
+    table2_rows,
 )
+from tests.oracles.features import table2_vector_scalar
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +51,7 @@ def comment_lists(alphabet):
 class TestCommentStats:
     def test_single_analysis_matches_extract(self, extractor):
         text = "haoping! zan"
-        accumulator = extractor.make_accumulator()
+        accumulator = ItemAccumulator()
         accumulator.add(extractor.comment_stats(text))
         np.testing.assert_array_equal(
             accumulator.to_vector(), extractor.extract([text])
@@ -65,31 +70,54 @@ class TestItemAccumulator:
             ItemAccumulator().to_vector(), np.zeros(N_FEATURES)
         )
 
-    def test_remove_from_empty_raises(self, extractor):
-        with pytest.raises(ValueError):
-            ItemAccumulator().remove(extractor.comment_stats("haoping"))
 
-    def test_remove_inverts_integer_counts(self, extractor):
-        accumulator = extractor.make_accumulator()
-        stats = [extractor.comment_stats(t) for t in ("haoping!", "zan zan")]
-        for s in stats:
-            accumulator.add(s)
-        accumulator.remove(stats[1])
-        assert accumulator.n_comments == 1
-        assert accumulator.total_words == stats[0].n_words
-        assert accumulator.n_unique_words == len(stats[0].word_counts)
+@st.composite
+def accumulators(draw):
+    """Accumulators with arbitrary sums that any fold could reach: the
+    empty one, and word totals that match their word multiset."""
+    n_comments = draw(st.integers(0, 10**4))
+    if n_comments == 0:
+        return ItemAccumulator()
+    count = st.integers(0, 10**6)
+    fraction = st.floats(0.0, 1e6)
+    word_counts = Counter(
+        draw(
+            st.dictionaries(
+                st.text(max_size=3), st.integers(1, 10**4), max_size=6
+            )
+        )
+    )
+    return ItemAccumulator(
+        n_comments=n_comments,
+        sum_positive_distinct=draw(count),
+        sum_pos_neg_delta=draw(count),
+        total_words=sum(word_counts.values()),
+        word_counts=word_counts,
+        sum_sentiment=draw(fraction),
+        sum_entropy=draw(fraction),
+        sum_punctuation=draw(count),
+        sum_punctuation_ratio=draw(fraction),
+        sum_positive_bigrams=draw(count),
+        sum_bigram_ratio_terms=draw(fraction),
+    )
 
-    def test_unique_words_survive_partial_remove(self, extractor):
-        # Both comments contain the same word: removing one occurrence
-        # must keep the word in the multiset (set semantics would not).
-        accumulator = extractor.make_accumulator()
-        first = extractor.comment_stats("haoping")
-        second = extractor.comment_stats("haoping")
-        accumulator.add(first)
-        accumulator.add(second)
-        before = accumulator.n_unique_words
-        accumulator.remove(second)
-        assert accumulator.n_unique_words == before
+
+class TestOneFormula:
+    @settings(max_examples=200, deadline=None)
+    @given(accumulator=accumulators())
+    def test_to_vector_equals_python_formulas(self, accumulator):
+        assert np.array_equal(
+            accumulator.to_vector(), table2_vector_scalar(accumulator)
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(batch=st.lists(accumulators(), max_size=6))
+    def test_one_call_equals_one_row_at_a_time(self, batch):
+        sums = np.array([a.sums() for a in batch], dtype=np.float64)
+        rows = table2_rows(sums.reshape(-1, 3 + len(SUMMED_COLUMNS)))
+        assert rows.shape == (len(batch), N_FEATURES)
+        for row, accumulator in zip(rows, batch):
+            assert np.array_equal(row, accumulator.to_vector())
 
 
 class TestIncrementalEqualsBatch:
@@ -101,7 +129,7 @@ class TestIncrementalEqualsBatch:
         self, data, extractor, comment_alphabet
     ):
         comments = data.draw(comment_lists(comment_alphabet))
-        accumulator = extractor.make_accumulator()
+        accumulator = ItemAccumulator()
         for text in comments:
             accumulator.add(extractor.comment_stats(text))
         np.testing.assert_array_equal(
@@ -116,7 +144,7 @@ class TestIncrementalEqualsBatch:
         """Partial to_vector() snapshots neither mutate state nor drift:
         every prefix vector equals batch extraction of that prefix."""
         comments = data.draw(comment_lists(comment_alphabet))
-        accumulator = extractor.make_accumulator()
+        accumulator = ItemAccumulator()
         folded = 0
         while folded < len(comments):
             step = data.draw(

@@ -1,7 +1,10 @@
 """Tests for repro.core.extended_features."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.extended_features import (
     EXTENDED_FEATURE_NAMES,
@@ -10,6 +13,22 @@ from repro.core.extended_features import (
     date_burstiness,
 )
 from repro.core.features import FEATURE_NAMES, N_FEATURES
+from tests.oracles.extended_features import extended_vector_scalar
+
+
+@dataclass
+class _Comment:
+    content: str
+    date: str
+
+
+@dataclass
+class _Item:
+    comments: list
+
+    @property
+    def comment_texts(self) -> list[str]:
+        return [comment.content for comment in self.comments]
 
 
 class TestDateBurstiness:
@@ -107,3 +126,44 @@ class TestExtendedExtractor:
 
     def test_empty_batch(self, extractor):
         assert extractor.extract_items([]).shape == (0, N_EXTENDED_FEATURES)
+
+
+class TestMatchesPerCommentOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matrix_equals_oracle_one_analysis_per_text(
+        self, data, analyzer, language
+    ):
+        """The store-read matrix equals the per-comment loop bit for
+        bit, and each distinct text is segmented exactly once."""
+        extractor = ExtendedFeatureExtractor(analyzer)
+        words = sorted(language.dictionary_weights())[:40]
+        text = st.lists(
+            st.sampled_from(words + [",", "!", "q", "qqq"]), max_size=12
+        ).map("".join)
+        date = st.sampled_from(
+            ["2017-09-01 10:00:00", "2017-09-03", "2017-12-24", "bad", ""]
+        )
+        items = data.draw(
+            st.lists(
+                st.lists(st.builds(_Comment, text, date), max_size=6).map(
+                    _Item
+                ),
+                max_size=8,
+            )
+        )
+        before = analyzer.n_segmentations
+        matrix = extractor.extract_items(items)
+        distinct = {c.content for item in items for c in item.comments}
+        assert analyzer.n_segmentations - before == len(distinct)
+        expected = [
+            extended_vector_scalar(
+                extractor,
+                item.comment_texts,
+                [c.date for c in item.comments],
+            )
+            for item in items
+        ]
+        assert matrix.shape == (len(items), N_EXTENDED_FEATURES)
+        for row, reference in zip(matrix, expected):
+            assert np.array_equal(row, reference)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.analyzer import SemanticAnalyzer
 from repro.core.features import FEATURE_NAMES, N_FEATURES, FeatureExtractor
+from repro.core.parallel_analysis import DEFAULT_CHUNK_SIZE
 
 
 @pytest.fixture(scope="module")
@@ -211,11 +214,95 @@ class TestParallelBatch:
             extractor.extract_many(lists),
         )
 
+    def test_parallel_leaves_interner_as_serial(self, analyzer, cpus):
+        """The workers' vocabulary and segmentation counts merge back:
+        a parallel batch leaves its analyzer exactly as a serial batch
+        leaves an identical clone."""
+        cpus(2)
+        rng = np.random.default_rng(21)
+        words = sorted(analyzer.lexicon.positive) + ["hao", "zan", "!"]
+        # More comments than one analysis chunk, so two workers run,
+        # with numbers the shared analyzer's interner has not seen yet.
+        lists = [
+            [
+                "".join(rng.choice(words, size=3)) + str(rng.integers(10**6))
+                for __ in range(20)
+            ]
+            for __ in range(DEFAULT_CHUNK_SIZE // 20 + 10)
+        ]
+        spec = analyzer.clone_spec()
+        runs = []
+        for n_workers in (1, 2):
+            clone = SemanticAnalyzer.from_spec(spec)
+            base = len(clone.interner)
+            matrix = FeatureExtractor(clone).extract_many(
+                lists, n_workers=n_workers
+            )
+            grown = clone.interner.words_from(base)
+            runs.append((matrix, grown, clone.n_segmentations))
+        (serial, serial_grown, serial_segs), (parallel, grown, segs) = runs
+        assert np.array_equal(serial, parallel)
+        assert serial_grown and grown == serial_grown
+        assert serial_segs > 0 and segs == serial_segs
+
+    def test_items_split_across_stores(self, extractor, monkeypatch):
+        """Rows do not depend on how items are grouped into stores."""
+        import repro.core.features as features
+
+        lists = [["haoping!", "zan"], [], ["mai", "haoping"] * 3, ["zan"]]
+        whole = extractor.extract_many(lists)
+        monkeypatch.setattr(features, "BATCH_STORE_COMMENTS", 2)
+        ranges = [
+            (first, stop)
+            for __, first, stop in extractor._analyzed_stores(lists)
+        ]
+        # An item larger than the bound gets a store of its own.
+        assert ranges == [(0, 2), (2, 3), (3, 4)]
+        np.testing.assert_array_equal(extractor.extract_many(lists), whole)
+
     def test_more_workers_than_items(self, extractor):
         lists = [["haoping"], ["zan"]]
         X = extractor.extract_many(lists, n_workers=8)
         assert X.shape == (2, N_FEATURES)
         np.testing.assert_array_equal(X, extractor.extract_many(lists))
+
+
+class TestBincountOrder:
+    """``ColumnarCommentStore.feature_matrix`` sums the float stat
+    columns with ``np.bincount(seg, weights=w)``; batch rows equal the
+    streaming fold only because it adds each bin's weights left to
+    right, in row order, starting from 0.0."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_left_to_right_fold(self, data):
+        n_bins = data.draw(st.integers(1, 8))
+        values = st.one_of(
+            # Mixed magnitudes, subnormals and signed zeros; bounded so
+            # a few hundred terms cannot overflow.
+            st.floats(min_value=-1e300, max_value=1e300),
+            st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 0.1, 1e16, 1.0]),
+        )
+        # One bin holds more than 128 rows (past numpy's pairwise
+        # blocking), the rest are random; bins past n_bins stay empty.
+        seg = [0] * data.draw(st.integers(129, 200)) + data.draw(
+            st.lists(st.integers(0, n_bins - 1), max_size=64)
+        )
+        seg = data.draw(st.permutations(seg))
+        weights = data.draw(
+            st.lists(values, min_size=len(seg), max_size=len(seg))
+        )
+        expected = [0.0] * (n_bins + 2)
+        for bin_, weight in zip(seg, weights):
+            expected[bin_] += weight
+        got = np.bincount(
+            np.asarray(seg, dtype=np.int64),
+            weights=np.asarray(weights, dtype=np.float64),
+            minlength=n_bins + 2,
+        )
+        assert [v.hex() for v in got.tolist()] == [
+            v.hex() for v in expected
+        ]
 
 
 class TestDiscrimination:

@@ -13,7 +13,10 @@ compare the two and the benches can time the speedup:
 * :mod:`tests.oracles.segmentation` -- substring-hashing Viterbi;
 * :mod:`tests.oracles.word2vec` -- per-position skip-gram pairs;
 * :mod:`tests.oracles.similarity` -- per-word lexicon expansion;
-* :mod:`tests.oracles.features` -- string-based comment statistics;
+* :mod:`tests.oracles.features` -- string-based comment statistics and
+  the Table II formulas in Python arithmetic;
+* :mod:`tests.oracles.extended_features` -- the per-comment loop behind
+  the four extended features;
 * :mod:`tests.oracles.columnar` -- ``CommentStats`` rebuilt from a
   columnar store.
 

@@ -6,7 +6,14 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.core.features import CommentStats, FeatureExtractor
+import numpy as np
+
+from repro.core.features import (
+    N_FEATURES,
+    CommentStats,
+    FeatureExtractor,
+    ItemAccumulator,
+)
 from repro.text.ngrams import positive_bigram_count
 from repro.text.stats import (
     comment_entropy,
@@ -44,4 +51,30 @@ def comment_stats_scalar(
         bigram_ratio_term=(
             n_bigrams_pos / (len(words) - 1) if len(words) > 1 else 0.0
         ),
+    )
+
+
+def table2_vector_scalar(accumulator: ItemAccumulator) -> np.ndarray:
+    """Reference: the 11 Table II formulas on one accumulator's sums in
+    Python arithmetic (``ItemAccumulator.to_vector`` before the formulas
+    moved to :func:`repro.core.features.table2_rows`)."""
+    n = accumulator.n_comments
+    if n == 0:
+        return np.zeros(N_FEATURES)
+    return np.array(
+        [
+            accumulator.sum_positive_distinct / n,
+            accumulator.sum_pos_neg_delta / n,
+            (len(accumulator.word_counts) / accumulator.total_words)
+            if accumulator.total_words
+            else 0.0,
+            accumulator.sum_sentiment / n,
+            accumulator.sum_entropy / n,
+            accumulator.total_words / n,
+            float(accumulator.total_words),
+            float(accumulator.sum_punctuation),
+            accumulator.sum_punctuation_ratio / n,
+            accumulator.sum_positive_bigrams / n,
+            accumulator.sum_bigram_ratio_terms / n,
+        ]
     )

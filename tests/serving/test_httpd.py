@@ -80,6 +80,28 @@ class TestRowParsing:
 
 
 class TestEndpoints:
+    def test_connection_burst_fits_the_listen_backlog(self, served):
+        """32 clients connecting at once are all answered, and none
+        waits out a SYN retransmit (~1 s) for a full listen queue."""
+        _, client = served
+        barrier = threading.Barrier(32)
+        results = []
+
+        def one() -> None:
+            barrier.wait(timeout=30)
+            start = time.perf_counter()
+            status, _ = client.request("GET", "/healthz")
+            results.append((status, time.perf_counter() - start))
+
+        threads = [threading.Thread(target=one) for _ in range(32)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [status for status, _ in results] == [200] * 32
+        assert max(elapsed for _, elapsed in results) < 1.0
+
     def test_healthz(self, served):
         _, client = served
         status, body = client.request("GET", "/healthz")

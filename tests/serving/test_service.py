@@ -303,6 +303,41 @@ class TestCheckpointing:
         # stop()'s final attempt fails too, and is counted.
         assert svc.n_checkpoint_failures > failures
 
+    def test_failed_checkpoint_waits_for_more_records(
+        self, trained_cats, feed, tmp_path, monkeypatch
+    ):
+        """After a failed attempt the next periodic one waits for
+        another ``checkpoint_every`` records: batches that add none (an
+        empty feed, a score) do not re-export the state.  stop() still
+        makes its one final attempt, and every failure is counted."""
+        svc = DetectionService(
+            trained_cats,
+            rescore_growth=1.0,
+            checkpoint_dir=str(tmp_path / "ckpts"),
+            checkpoint_every=10,
+            max_delay_ms=1,
+        ).start()
+        drained = []
+        batcher_stop = svc._batcher.stop
+
+        def stop_batcher(**kwargs):
+            clean = batcher_stop(**kwargs)
+            drained.append(svc.n_checkpoint_failures)
+            return clean
+
+        monkeypatch.setattr(svc._batcher, "stop", stop_batcher)
+        bad = dataclasses.replace(
+            feed[0], comment_id=-1, content=feed[0].content + "\ud83d"
+        )
+        assert svc.feed([bad] + feed[:40]).accepted == 41
+        for __ in range(5):
+            svc.feed([])
+        assert svc.score([feed[0].item_id])
+        assert svc.stop() is True
+        assert drained == [1]
+        assert svc.n_checkpoint_failures == 2
+        assert svc.n_checkpoints_written == 0
+
     def test_checkpoint_failure_does_not_break_scoring(
         self, trained_cats, feed, tmp_path, monkeypatch
     ):

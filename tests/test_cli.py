@@ -194,6 +194,27 @@ class TestAnalyzeCommand:
                 ]
             )
 
+    def test_lone_surrogate_exits_before_analyzing(
+        self, tmp_path, model_dir, capsys
+    ):
+        crawl_dir = tmp_path / "crawl"
+        main(["crawl", str(crawl_dir), "--scale", "0.0002", "--seed", "6"])
+        capsys.readouterr()
+        path = crawl_dir / "comments.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[2])
+        row["content"] += "\ud83d"
+        lines[2] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        store_dir = tmp_path / "columnar"
+        for argv in (
+            ["analyze", str(model_dir), str(crawl_dir), str(store_dir)],
+            ["detect", str(model_dir), str(crawl_dir)],
+        ):
+            with pytest.raises(SystemExit, match=r"comments\.jsonl:3:"):
+                main(argv)
+        assert not store_dir.exists()
+
     def test_analyze_missing_comments(self, tmp_path, model_dir):
         with pytest.raises(SystemExit):
             main(
