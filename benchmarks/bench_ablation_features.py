@@ -7,6 +7,8 @@ each level contributes -- the analysis that motivates the paper's
 "identify more useful features" future-work direction.
 """
 
+from functools import partial
+
 import numpy as np
 from conftest import write_result
 
@@ -45,7 +47,7 @@ def test_feature_group_ablation(benchmark, cats, d0):
 
     def cv(columns):
         return cross_validate(
-            lambda: GradientBoostingClassifier(n_estimators=60, seed=0),
+            partial(GradientBoostingClassifier, n_estimators=60, seed=0),
             X[:, columns],
             y,
             n_splits=5,

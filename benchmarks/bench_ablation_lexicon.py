@@ -6,6 +6,8 @@ cap and measures detector CV performance on a balanced D0 sample,
 quantifying how much vocabulary the word-level features actually need.
 """
 
+from functools import partial
+
 import numpy as np
 from conftest import write_result
 
@@ -39,7 +41,7 @@ def test_lexicon_size_ablation(benchmark, cats, d0, language):
         )
         X = FeatureExtractor(analyzer).extract_items(sample.items)
         scores = cross_validate(
-            lambda: GradientBoostingClassifier(n_estimators=60, seed=0),
+            partial(GradientBoostingClassifier, n_estimators=60, seed=0),
             X,
             sample.labels,
             n_splits=5,

@@ -2,10 +2,10 @@
 
 Measures the :mod:`repro.core.parallel_analysis` engine end to end:
 segment + intern + sentiment-score a D1-profile comment corpus into a
-:class:`~repro.core.columnar.ColumnarCommentStore`, serially and on
-1/2/4 requested worker processes, reporting comments/sec for each
-together with the worker count the :mod:`repro.parallel` executor
-actually ran (``min(requested, usable CPUs, chunks)``).
+:class:`~repro.core.columnar.ColumnarCommentStore`, serially (one usable
+CPU, ``benchutil.one_cpu``) and as shipped on all usable CPUs,
+reporting comments/sec for both together with the worker count the
+:mod:`repro.parallel` executor ran (``min(usable CPUs, chunks)``).
 
 Every parallel run starts from a private analyzer clone
 (:meth:`SemanticAnalyzer.clone_spec`) so all runs analyze under the
@@ -16,11 +16,9 @@ before any timing is reported.  A benchmark that got the wrong answer
 fast would be worse than useless.
 
 Scaling floor: the acceptance criterion (>= ``MIN_SCALING``x
-comments/sec at 4 workers over serial) is only enforced when the host
+comments/sec on all CPUs over serial) is only enforced when the host
 actually has >= 4 CPUs; on smaller hosts the ratio is recorded but not
-asserted (worker processes time-slice a single core and measure
-overhead, not scaling).  ``n_cpus`` is recorded either way, as in
-``bench_cluster``.
+asserted.  ``n_cpus`` is recorded either way, as in ``bench_cluster``.
 
 Run standalone:
 
@@ -39,22 +37,19 @@ import time
 
 import numpy as np
 
-from benchutil import peak_rss_mib, write_outputs
+from benchutil import one_cpu, peak_rss_mib, write_outputs
 
 from repro import parallel
 from repro.analysis.reporting import render_table
 from repro.core.analyzer import SemanticAnalyzer
-from repro.core.columnar import ColumnarCommentStore, append_comments
+from repro.core.columnar import ColumnarCommentStore
 from repro.core.features import FeatureExtractor
 from repro.core.parallel_analysis import analyze_many
 
 
-#: Acceptance floor: comments/sec at 4 workers over serial, enforced
+#: Acceptance floor: comments/sec on all CPUs over serial, enforced
 #: only on hosts with >= 4 CPUs (see module docstring).
 MIN_SCALING = 2.0
-
-#: Worker counts measured (serial is measured separately).
-WORKER_COUNTS = (1, 2, 4)
 
 #: Comments per chunk shipped to a worker.
 CHUNK_SIZE = 2048
@@ -119,43 +114,28 @@ def run(quick: bool, scale: float | None = None) -> dict:
     )
     extractor, serial_store = fresh_run_state(spec)
     t0 = time.perf_counter()
-    append_comments(
-        serial_store, extractor, records, chunk_size=CHUNK_SIZE
-    )
+    with one_cpu():
+        analyze_many(
+            serial_store, extractor, records, chunk_size=CHUNK_SIZE
+        )
     serial_s = time.perf_counter() - t0
     serial_rate = n_comments / max(serial_s, 1e-9)
 
-    n_chunks = -(-n_comments // CHUNK_SIZE)
-    workers: dict[str, dict] = {}
-    for count in WORKER_COUNTS:
-        print(
-            f"analyze (parallel): {n_comments} comments on {count} "
-            f"worker(s) ...",
-            file=sys.stderr,
-        )
-        extractor, store = fresh_run_state(spec)
-        t0 = time.perf_counter()
-        appended = analyze_many(
-            store,
-            extractor,
-            records,
-            n_workers=count,
-            chunk_size=CHUNK_SIZE,
-        )
-        wall_s = time.perf_counter() - t0
-        assert appended == n_comments
-        assert_identical(serial_store, store)
-        workers[str(count)] = {
-            "effective_workers": parallel.effective_workers(
-                count, n_chunks
-            ),
-            "wall_s": round(wall_s, 3),
-            "comments_per_s": round(n_comments / max(wall_s, 1e-9), 1),
-            "speedup_vs_serial": round(serial_s / max(wall_s, 1e-9), 2),
-        }
-
     cpus = parallel.usable_cpus()
-    best = workers[str(WORKER_COUNTS[-1])]
+    workers = parallel.effective_workers(-(-n_comments // CHUNK_SIZE))
+    print(
+        f"analyze (parallel): {n_comments} comments on {workers} "
+        f"worker(s) ...",
+        file=sys.stderr,
+    )
+    extractor, store = fresh_run_state(spec)
+    t0 = time.perf_counter()
+    appended = analyze_many(store, extractor, records, chunk_size=CHUNK_SIZE)
+    wall_s = time.perf_counter() - t0
+    assert appended == n_comments
+    assert_identical(serial_store, store)
+    ratio = serial_s / max(wall_s, 1e-9)
+
     result = {
         "quick": quick,
         "d1_scale": d1_scale,
@@ -164,17 +144,19 @@ def run(quick: bool, scale: float | None = None) -> dict:
         "n_cpus": cpus,
         "serial_s": round(serial_s, 3),
         "serial_comments_per_s": round(serial_rate, 1),
-        "workers": workers,
+        "parallel": {
+            "effective_workers": workers,
+            "wall_s": round(wall_s, 3),
+            "comments_per_s": round(n_comments / max(wall_s, 1e-9), 1),
+            "speedup_vs_serial": round(ratio, 2),
+        },
         "scaling": {
-            "workers_compared": [0, WORKER_COUNTS[-1]],
-            "ratio": round(
-                best["comments_per_s"] / max(serial_rate, 1e-9), 2
-            ),
+            "ratio": round(ratio, 2),
             "floor": MIN_SCALING,
             "floor_enforced": cpus >= 4,
         },
         "executor_fallbacks": parallel.STATS["fallbacks"],
-        "bit_identical": True,  # asserted per run above
+        "bit_identical": True,  # asserted above
         "peak_rss_mib": round(peak_rss_mib(), 1),
     }
     if not result["scaling"]["floor_enforced"]:
@@ -192,15 +174,14 @@ def render(result: dict) -> str:
         ["chunk_size", result["chunk_size"]],
         ["serial comments/s", result["serial_comments_per_s"]],
     ]
-    for count, stats in result["workers"].items():
-        rows.append(
-            [
-                f"{count}-worker comments/s",
-                f"{stats['comments_per_s']} "
-                f"({stats['speedup_vs_serial']}x serial, "
-                f"{stats['effective_workers']} ran)",
-            ]
-        )
+    stats = result["parallel"]
+    rows.append(
+        [
+            f"{stats['effective_workers']}-worker comments/s",
+            f"{stats['comments_per_s']} "
+            f"({stats['speedup_vs_serial']}x serial)",
+        ]
+    )
     rows.append(["scaling ratio", result["scaling"]["ratio"]])
     rows.append(["floor enforced", result["scaling"]["floor_enforced"]])
     rows.append(["bit identical", result["bit_identical"]])
@@ -216,7 +197,7 @@ def check_acceptance(result: dict) -> None:
     assert result["bit_identical"]
     if result["scaling"]["floor_enforced"]:
         assert result["scaling"]["ratio"] >= MIN_SCALING, (
-            f"4-worker analysis only {result['scaling']['ratio']}x the "
+            f"parallel analysis only {result['scaling']['ratio']}x the "
             f"serial rate (need >= {MIN_SCALING}x on a "
             f"{result['n_cpus']}-CPU host)"
         )

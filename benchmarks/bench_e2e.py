@@ -9,16 +9,18 @@ Taobao snapshot).  Six timed phases, one process:
 * **analyze** -- segment, intern and sentiment-score every comment
   through the vectorized extractor, appending each batch into a
   :class:`~repro.core.columnar.ColumnarCommentStore`; then persist the
-  store (``persist_s``) through the atomic ``.npy`` writers.  On
-  multi-core hosts the same corpus is first analyzed through the
-  parallel sharded engine (``analyze_parallel_s``, all CPUs), and the
-  resulting store is asserted bit-identical to the serial one -- the
-  deterministic-merge guarantee of :mod:`repro.core.parallel_analysis`
-  measured end to end.  1-CPU hosts skip the rerun: it would double
-  bench wall time only to record a misleading "parallel" number;
+  store (``persist_s``) through the atomic ``.npy`` writers.  The
+  serial row runs the engine on one usable CPU (``benchutil.one_cpu``).
+  On multi-core hosts the same corpus is first analyzed as shipped, on
+  all CPUs (``analyze_parallel_s``), and the resulting store is
+  asserted bit-identical to the serial one -- the deterministic-merge
+  guarantee of :mod:`repro.core.parallel_analysis` measured end to
+  end.  1-CPU hosts skip the rerun: it would double bench wall time
+  only to record a misleading "parallel" number;
 * **extract (live)** -- the restart path without a persisted store:
-  ``CATS.extract_features`` re-analyzes every comment into in-memory
-  columnar stores and reads the Table II matrix from them;
+  ``CATS.extract_features`` re-analyzes every comment (on all CPUs)
+  into in-memory columnar stores and reads the Table II matrix from
+  them;
 * **rehydrate** -- the post-columnar restart path: memory-map the
   persisted store and rebuild the same matrix by pure array slicing,
   with **zero** re-segmentation (asserted against the analyzer's
@@ -54,7 +56,6 @@ files (``benchutil.write_outputs``), never the full-scale artifact.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import tempfile
 import time
@@ -62,10 +63,11 @@ from pathlib import Path
 
 import numpy as np
 
-from benchutil import peak_rss_mib, write_outputs
+from benchutil import one_cpu, peak_rss_mib, write_outputs
 
+from repro import parallel
 from repro.analysis.reporting import render_table
-from repro.core.columnar import ColumnarCommentStore, append_comments
+from repro.core.columnar import ColumnarCommentStore
 from repro.core.parallel_analysis import analyze_many
 from repro.core.features import FeatureExtractor
 
@@ -146,12 +148,14 @@ def run(quick: bool, scale: float | None = None) -> dict:
         # (running it second would find every D1 word already interned).
         # Skipped on 1-CPU hosts, where the rerun doubles wall time and
         # the recorded "parallel" number is pure overhead.
-        n_cpus = os.cpu_count() or 1
+        n_cpus = parallel.usable_cpus()
         store_parallel = None
         analyze_parallel_s = None
         n_analyze_workers = None
         if n_cpus > 1:
-            n_analyze_workers = n_cpus
+            n_analyze_workers = parallel.effective_workers(
+                -(-len(records) // ANALYZE_CHUNK_SIZE)
+            )
             print(
                 f"analyze (parallel): {len(records)} comments on "
                 f"{n_analyze_workers} workers ...",
@@ -164,7 +168,6 @@ def run(quick: bool, scale: float | None = None) -> dict:
                 store_parallel,
                 extractor_parallel,
                 records,
-                n_analyze_workers,
                 chunk_size=ANALYZE_CHUNK_SIZE,
             )
             analyze_parallel_s = time.perf_counter() - t0
@@ -181,9 +184,10 @@ def run(quick: bool, scale: float | None = None) -> dict:
         extractor = FeatureExtractor(analyzer)
         store = ColumnarCommentStore(analyzer.interner)
         t0 = time.perf_counter()
-        append_comments(
-            store, extractor, records, chunk_size=ANALYZE_CHUNK_SIZE
-        )
+        with one_cpu():
+            analyze_many(
+                store, extractor, records, chunk_size=ANALYZE_CHUNK_SIZE
+            )
         analyze_s = time.perf_counter() - t0
         if store_parallel is not None:
             assert np.array_equal(

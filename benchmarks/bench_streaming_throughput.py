@@ -2,9 +2,11 @@
 
 Measures the three extraction regimes this repo supports on one table:
 
-* **batch serial** -- ``FeatureExtractor.extract_many`` (the baseline);
-* **batch parallel** -- the same call with ``n_workers > 1`` (chunked
-  multi-process extraction);
+* **batch serial** -- ``CATS.extract_features`` on one usable CPU
+  (``benchutil.one_cpu``: every map inline; the baseline);
+* **batch parallel** -- the same call as shipped: chunked multi-process
+  extraction on all usable CPUs (the row names the worker count that
+  ran);
 * **streaming O(n^2) baseline** -- re-extracting an item's full comment
   buffer on every rescore (what ``StreamingDetector`` did before the
   incremental accumulators);
@@ -34,12 +36,14 @@ import time
 
 import numpy as np
 
-from benchutil import write_outputs
+from benchutil import one_cpu, write_outputs
 
+from repro import parallel
 from repro.analysis.reporting import render_table
 from repro.collector.records import CommentRecord
 from repro.core.config import CATSConfig, LexiconConfig, Word2VecConfig
 from repro.core.features import FeatureExtractor
+from repro.core.parallel_analysis import DEFAULT_CHUNK_SIZE
 from repro.core.pipeline import train_cats
 from repro.core.streaming import StreamingDetector
 from repro.datasets.builders import build_d1
@@ -123,24 +127,27 @@ class SegmentationCounter:
         self.analyzer.segment = self._original
 
 
-def bench_batch(cats, d1, n_workers: int):
-    """(serial items/sec, parallel items/sec, n_items)."""
+def bench_batch(cats, d1):
+    """(serial items/sec, parallel items/sec, n_items, workers that ran)."""
     items = d1.items
     t0 = time.perf_counter()
-    serial = cats.extract_features(items)
+    with one_cpu():
+        serial = cats.extract_features(items)
     serial_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    parallel = cats.extract_features(items, n_workers=n_workers)
+    batch = cats.extract_features(items)
     parallel_time = time.perf_counter() - t0
 
-    assert np.array_equal(serial, parallel), (
+    assert np.array_equal(serial, batch), (
         "parallel extraction must equal the serial matrix exactly"
     )
+    n_comments = sum(len(item.comment_texts) for item in items)
     return (
         len(items) / serial_time,
         len(items) / parallel_time,
         len(items),
+        parallel.effective_workers(-(-n_comments // DEFAULT_CHUNK_SIZE)),
     )
 
 
@@ -206,14 +213,14 @@ def bench_streaming(cats, texts: list[str]):
 
 
 def render_rows(
-    n_items, serial_ips, parallel_ips, n_workers, stream_stats
+    n_items, serial_ips, parallel_ips, workers, stream_stats
 ) -> str:
     n = stream_stats["n_comments"]
     rows = [
         ["batch items", n_items],
         ["batch serial items/sec", round(serial_ips, 1)],
         [
-            f"batch parallel items/sec ({n_workers} workers)",
+            f"batch parallel items/sec ({workers} workers)",
             round(parallel_ips, 1),
         ],
         ["stream item comments", n],
@@ -246,8 +253,7 @@ def render_rows(
 def test_streaming_throughput(benchmark, cats, d1):
     """Harness entry: same measurement inside the pytest bench run."""
     texts = comment_feed(d1, STREAM_ITEM_COMMENTS)
-    workers = 4
-    serial_ips, parallel_ips, n_items = bench_batch(cats, d1, workers)
+    serial_ips, parallel_ips, n_items, workers = bench_batch(cats, d1)
     stream_stats = bench_streaming(cats, texts)
     benchmark.pedantic(
         lambda: StreamingDetector(cats, rescore_growth=1.0).observe_many(
@@ -271,23 +277,17 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="small datasets for the CI smoke check",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="worker processes for the parallel batch regime",
-    )
     args = parser.parse_args(argv)
 
     print("building system ...", file=sys.stderr)
     cats, d1 = build_system(args.quick)
 
-    serial_ips, parallel_ips, n_items = bench_batch(cats, d1, args.workers)
+    serial_ips, parallel_ips, n_items, workers = bench_batch(cats, d1)
     stream_stats = bench_streaming(
         cats, comment_feed(d1, STREAM_ITEM_COMMENTS)
     )
     text = render_rows(
-        n_items, serial_ips, parallel_ips, args.workers, stream_stats
+        n_items, serial_ips, parallel_ips, workers, stream_stats
     )
     write_outputs("streaming_throughput", text, args.quick)
     return 0

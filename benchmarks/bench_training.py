@@ -9,9 +9,9 @@ implementations in ``tests/oracles/``:
   ``tests.oracles.gbdt.fit_reference``, on a synthetic D0-scale
   dataset, with the detector's hyperparameters;
 * **cross-validation** -- five-fold CV over the Table III candidate
-  classifiers, serial vs ``n_workers=4`` (clamped by the executor to
-  the usable CPUs; the factories pickle, so the folds run on worker
-  processes);
+  classifiers, serial (one usable CPU, ``benchutil.one_cpu``) vs as
+  shipped on all usable CPUs (the factories pickle, so the folds run on
+  worker processes);
 * **lexicon expansion** -- ``expand_lexicon`` through the batched
   one-matmul frontier scoring vs the retained per-word reference.
 
@@ -23,9 +23,9 @@ The benchmark *asserts* correctness before it reports timings:
   each other, and hist must clear the speedup floor (``MIN_GBDT_SPEEDUP``
   = 3x at full scale; quick scale only sanity-checks >= 1x because
   binning amortizes over rows and rounds);
-* ``cross_validate`` must return **bitwise identical** metric dicts for
-  ``n_workers`` in {1, 4}, for every candidate classifier, without an
-  executor fallback;
+* ``cross_validate`` must return **bitwise identical** metric dicts on
+  one CPU and on all of them, for every candidate classifier, without
+  an executor fallback;
 * both ``expand_lexicon`` paths must produce **identical** lexicons.
 
 Results are written to ``BENCH_training.json`` at the repo root and
@@ -51,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from benchutil import write_outputs
+from benchutil import one_cpu, write_outputs
 
 from repro import parallel
 from repro.analysis.reporting import render_table
@@ -87,8 +87,6 @@ MAX_F1_GAP = 0.01
 #: The quick test split is only a few hundred rows, so single-flip F1
 #: noise dominates; the 0.01 criterion applies at D0 scale.
 MAX_F1_GAP_QUICK = 0.03
-
-CV_WORKER_COUNTS = (1, 4)
 
 
 def synthetic_d0(n: int, seed: int = 0):
@@ -175,9 +173,9 @@ def bench_gbdt(quick: bool) -> dict:
 
 
 def bench_cross_validation(quick: bool) -> dict:
-    """Serial vs 4-worker five-fold CV over the Table III candidates.
+    """Serial vs all-CPU five-fold CV over the Table III candidates.
 
-    The executor runs ``min(4, usable CPUs, 5 folds)`` worker processes;
+    The executor runs ``min(usable CPUs, 5 folds)`` worker processes;
     the bound factories pickle, so no run falls back inline.
     """
     n = 800 if quick else 3000
@@ -188,46 +186,44 @@ def bench_cross_validation(quick: bool) -> dict:
         if quick
         else sorted(CLASSIFIER_FACTORIES)
     )
-    per_candidate: dict[str, float] = {}
-    timings: dict[int, float] = {}
-    reference: dict[str, dict[str, float]] = {}
-    fallbacks = parallel.STATS["fallbacks"]
-    for n_workers in CV_WORKER_COUNTS:
-        t0 = time.perf_counter()
-        for name in names:
-            factory = CLASSIFIER_FACTORIES[name]
-            data = X_scaled if name in SCALED_CLASSIFIERS else X
-            scores = cross_validate(
-                partial(factory, 0),
-                data,
+
+    def run_all() -> dict[str, dict[str, float]]:
+        return {
+            name: cross_validate(
+                partial(CLASSIFIER_FACTORIES[name], 0),
+                X_scaled if name in SCALED_CLASSIFIERS else X,
                 y,
                 n_splits=5,
                 seed=0,
-                n_workers=n_workers,
             )
-            if n_workers == CV_WORKER_COUNTS[0]:
-                reference[name] = scores
-                per_candidate[name] = round(scores["f1"], 4)
-            else:
-                assert scores == reference[name], (
-                    f"cross_validate({name}) differs between "
-                    f"n_workers={CV_WORKER_COUNTS[0]} and {n_workers}"
-                )
-        timings[n_workers] = round(time.perf_counter() - t0, 3)
+            for name in names
+        }
+
+    fallbacks = parallel.STATS["fallbacks"]
+    t0 = time.perf_counter()
+    with one_cpu():
+        reference = run_all()
+    serial_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    scores = run_all()
+    parallel_s = time.perf_counter() - t0
+    for name in names:
+        assert scores[name] == reference[name], (
+            f"cross_validate({name}) differs between one CPU and all"
+        )
     assert parallel.STATS["fallbacks"] == fallbacks, (
         "parallel CV fell back to inline execution"
     )
     return {
         "n_rows": n,
         "candidates": names,
-        "serial_s": timings[CV_WORKER_COUNTS[0]],
-        "parallel_s": timings[CV_WORKER_COUNTS[1]],
-        "workers_compared": list(CV_WORKER_COUNTS),
-        "effective_workers": parallel.effective_workers(
-            CV_WORKER_COUNTS[1], 5
-        ),
+        "serial_s": round(serial_s, 3),
+        "parallel_s": round(parallel_s, 3),
+        "effective_workers": parallel.effective_workers(5),
         "bitwise_identical": True,  # asserted above
-        "f1_per_candidate": per_candidate,
+        "f1_per_candidate": {
+            name: round(reference[name]["f1"], 4) for name in names
+        },
     }
 
 

@@ -7,10 +7,12 @@ benchmark entries.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import resource
 import sys
 from pathlib import Path
+from unittest import mock
 
 RESULTS_DIR = Path(__file__).parent / "results"
 REPO_ROOT = Path(__file__).parent.parent
@@ -26,6 +28,15 @@ def peak_rss_mib() -> float:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     scale = 1024.0 if sys.platform == "darwin" else 1.0
     return peak * scale / 1024.0
+
+
+@contextlib.contextmanager
+def one_cpu():
+    """Time the serial side: the executor sees one usable CPU, so every
+    map runs inline (as under ``taskset -c 0``) and nothing else about
+    the call changes."""
+    with mock.patch("repro.parallel.usable_cpus", lambda: 1):
+        yield
 
 
 def write_outputs(

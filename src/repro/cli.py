@@ -14,7 +14,7 @@ Eight subcommands cover the deployment workflow the paper describes:
     Run a crawled dataset through a model's semantic analyzer once and
     persist the result as a columnar comment store (interned token
     arena + per-comment stat columns); later ``detect --store`` runs
-    and service restarts slice the store instead of re-segmenting.
+    slice the store instead of re-segmenting.
 ``cats detect``
     Load a trained model and a crawled dataset; report fraud items to
     stdout (or a file) with their P(fraud).  With ``--store`` the
@@ -41,6 +41,11 @@ Eight subcommands cover the deployment workflow the paper describes:
 
 Outside this reproduction the ``crawl`` step would target a real site;
 here it targets the platform simulator, selected by ``--platform``.
+
+Batch work (``analyze``, ``detect``, ``evaluate``, ``train --cv``) runs
+on every CPU the process may use; no command takes a worker count.
+Start the command under ``taskset`` to cap it, e.g. ``taskset -c 0``
+for one CPU.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import signal
 import sys
 import threading
@@ -120,10 +124,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     scores: dict[str, float] = {}
     if args.cv:
         scores = cats.cross_validate_detector(
-            features,
-            d0.labels,
-            n_splits=args.cv,
-            n_workers=args.cv_workers,
+            features, d0.labels, n_splits=args.cv
         )
         print(
             json.dumps({"cv": {k: round(v, 4) for k, v in scores.items()}})
@@ -184,19 +185,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         columnar,
         cats.feature_extractor,
         store.comments,
-        args.workers,
         chunk_size=args.chunk_size,
     )
     generation = columnar.save(args.store_dir)
-    # What ran: the request after the executor's clamp.
     n_chunks = -(-len(store.comments) // args.chunk_size)
     print(
         json.dumps(
             {
                 "analyzed": appended,
-                "workers": parallel.effective_workers(
-                    args.workers, n_chunks
-                ),
+                "workers": parallel.effective_workers(n_chunks),
                 "fallbacks": parallel.STATS["fallbacks"] - fallbacks,
                 "store_dir": args.store_dir,
                 "generation": generation,
@@ -255,9 +252,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             items, features, chunk_size=args.chunk_size
         )
     else:
-        report = cats.detect(
-            items, n_workers=args.workers, chunk_size=args.chunk_size
-        )
+        report = cats.detect(items, chunk_size=args.chunk_size)
     rows = []
     for idx in report.reported_indices():
         item = items[idx]
@@ -294,7 +289,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     cats = load_cats(args.model_dir)
     d1 = build_d1(default_language(), scale=args.scale, seed=args.seed)
-    result, report = evaluate_on_dataset(cats, d1, n_workers=args.workers)
+    result, report = evaluate_on_dataset(cats, d1)
     print(
         render_table(
             ["Category", "Precision", "Recall", "F-score"],
@@ -692,11 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run K-fold CV of the detector on D0 (0 = skip)",
     )
     train.add_argument(
-        "--cv-workers", type=int, default=None,
-        help="fit CV folds on this many worker processes (default "
-        "serial; metrics are identical for any worker count)",
-    )
-    train.add_argument(
         "--registry", default=None, metavar="DIR",
         help="also register the trained model as a new version in this "
         "registry (CV metrics, when computed, are recorded with it)",
@@ -735,13 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="analyze comments in batches of this size (bounds peak "
         "memory; the store content is identical for any chunking)",
     )
-    analyze.add_argument(
-        "--workers", type=int, default=os.cpu_count(),
-        help="analyze chunks on this many worker processes (default: "
-        "all CPUs; at most one per usable CPU and per chunk runs; the "
-        "store content is bit-identical for any worker count, 1 = "
-        "serial)",
-    )
     analyze.set_defaults(func=_cmd_analyze)
 
     detect = sub.add_parser("detect", help="detect frauds in crawled data")
@@ -756,10 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", default=None, help="write the JSON report here"
     )
     detect.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for feature extraction (default serial)",
-    )
-    detect.add_argument(
         "--chunk-size", type=_positive_int, default=None,
         help="score the classifier in fixed row chunks of this size "
         "(bounds peak memory; results are identical to unchunked)",
@@ -772,10 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("model_dir", help="trained model directory")
     evaluate.add_argument("--scale", type=float, default=0.003)
     evaluate.add_argument("--seed", type=int, default=200)
-    evaluate.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for feature extraction (default serial)",
-    )
     evaluate.set_defaults(func=_cmd_evaluate)
 
     models = sub.add_parser(
@@ -896,9 +871,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--columnar-store", default=None, metavar="DIR",
-        help="persist every comment analysis to this columnar store "
-        "(created on first checkpoint if absent; an existing store is "
-        "attached so restarts skip re-analysis)",
+        help="append every comment analysis to this columnar store, "
+        "saved before each checkpoint (created on the first checkpoint "
+        "if absent, appended to if present): the service's analyzed "
+        "comment history as flat arrays for offline work such as "
+        "feature matrices for retraining.  Restarts restore from the "
+        "checkpoint, not from the store",
     )
     serve.add_argument(
         "--checkpoint-every", type=int, default=500,

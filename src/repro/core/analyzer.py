@@ -187,8 +187,8 @@ class SemanticAnalyzer:
         Keeps :attr:`n_segmentations` truthful under parallel analysis:
         the parent's counter ends up equal to the total segmentation
         work actually performed anywhere on its behalf, so gauges and
-        the zero-resegmentation assertions stay meaningful with
-        ``--workers``.
+        the zero-resegmentation assertions stay meaningful on any
+        number of CPUs.
         """
         if n_segmentations < 0:
             raise ValueError(

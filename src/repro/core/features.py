@@ -52,10 +52,9 @@ Batches
 -------
 
 ``extract_many``/``extract_items`` analyze the batch into in-memory
-columnar stores and read each store's ``feature_matrix``.  The opt-in
-``n_workers`` runs the analysis on the
-:mod:`repro.core.parallel_analysis` engine; the matrix, interner and
-segmentation count equal the serial run's.
+columnar stores on the :mod:`repro.core.parallel_analysis` engine and
+read each store's ``feature_matrix``; the matrix, interner and
+segmentation count equal the serial run's on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -478,17 +477,13 @@ class FeatureExtractor:
 
     # -- batches -----------------------------------------------------------
 
-    def _analyzed_stores(
-        self,
-        comment_lists: Sequence[Sequence[str]],
-        n_workers: int | None = None,
-    ):
+    def _analyzed_stores(self, comment_lists: Sequence[Sequence[str]]):
         """Yield ``(store, first, stop)``: items ``first..stop-1``, ids
         their list positions, analyzed into an in-memory store of at
         most :data:`BATCH_STORE_COMMENTS` comments (or one larger item)
-        by :func:`~repro.core.parallel_analysis.analyze_many`, serially
-        or on workers whose vocabulary and segmentation counts merge
-        back.  No analysis cache is read or written."""
+        by :func:`~repro.core.parallel_analysis.analyze_many`, whose
+        workers' vocabulary and segmentation counts merge back.  No
+        analysis cache is read or written."""
         from repro.core.columnar import ColumnarCommentStore
         from repro.core.parallel_analysis import analyze_many
 
@@ -504,7 +499,7 @@ class FeatureExtractor:
                     records.append(_BatchComment(stop, len(records), text))
                 stop += 1
             store = ColumnarCommentStore(self.analyzer.interner)
-            analyze_many(store, self, records, n_workers)
+            analyze_many(store, self, records)
             yield store, first, stop
 
     def extract(self, comments: Sequence[str]) -> np.ndarray:
@@ -516,37 +511,23 @@ class FeatureExtractor:
         return self.extract_many([comments])[0]
 
     def extract_many(
-        self,
-        comment_lists: Sequence[Sequence[str]],
-        n_workers: int | None = None,
+        self, comment_lists: Sequence[Sequence[str]]
     ) -> np.ndarray:
-        """Feature matrix for a batch of items (rows follow input order).
-
-        Parameters
-        ----------
-        comment_lists:
-            One comment-text list per item.
-        n_workers:
-            Analysis workers to request from the executor (see
-            :mod:`repro.parallel`); ``None``/``0``/``1`` stays serial.
-            Any count gives the serial run's matrix and interner.
+        """Feature matrix for a batch of items (rows follow input order),
+        one comment-text list per item.  The analysis runs on the
+        executor's workers (see :mod:`repro.parallel`); any worker count
+        gives the serial run's matrix and interner.
         """
         blocks = [
             store.feature_matrix(range(first, stop))
-            for store, first, stop in self._analyzed_stores(
-                comment_lists, n_workers
-            )
+            for store, first, stop in self._analyzed_stores(comment_lists)
         ]
         return np.vstack(blocks) if blocks else np.zeros((0, N_FEATURES))
 
-    def extract_items(
-        self, items: Sequence, n_workers: int | None = None
-    ) -> np.ndarray:
+    def extract_items(self, items: Sequence) -> np.ndarray:
         """Feature matrix for objects exposing ``comment_texts``.
 
         Works with both :class:`repro.ecommerce.entities.Item` and
         :class:`repro.collector.records.CrawledItem`.
         """
-        return self.extract_many(
-            [item.comment_texts for item in items], n_workers=n_workers
-        )
+        return self.extract_many([item.comment_texts for item in items])

@@ -12,9 +12,10 @@ id assignments, breaking the repo-wide bit-identity discipline.
 
 This module parallelizes around that state instead:
 
-1. the corpus is split into **deterministic contiguous chunks** (a pure
-   function of ``len(records)`` and ``chunk_size`` -- never of worker
-   count or scheduling);
+1. the corpus is split into ``ceil(len(records) / chunk_size)``
+   **deterministic contiguous near-equal chunks** (a pure function of
+   ``len(records)`` and ``chunk_size`` -- never of worker count or
+   scheduling);
 2. the chunks run on the :mod:`repro.parallel` executor, whose
    initializer rebuilds a private analyzer in every worker from one
    pickled spec (:meth:`~repro.core.analyzer.SemanticAnalyzer.clone_spec`),
@@ -38,12 +39,15 @@ The result is **bit-identical** to the serial run for any worker count
 and chunk size: same feature matrix, same interner snapshot, same
 per-item coverage.  Segmentation counts are merged back into the
 parent analyzer so ``/stats`` gauges and the zero-resegmentation
-assertions stay truthful under ``--workers``.  Like the serial batch
+assertions stay truthful on any number of CPUs.  Like the serial batch
 path, the workers build no per-comment objects and never touch the
 analysis cache.
 
-Failure semantics: when the executor clamps the run to one worker the
-serial path runs directly.  If worker processes cannot be spawned at
+The executor decides the worker count (``min(usable CPUs, chunks)``,
+see :mod:`repro.parallel`); nothing here takes one.
+
+Failure semantics: when the executor would run one worker the serial
+path runs directly.  If worker processes cannot be spawned at
 all (a sandboxed environment), the executor analyzes the same chunks
 inline -- *counted* in :data:`ENGINE_STATS` and logged, never silent.
 A worker that dies mid-run (OOM kill, segfault) raises
@@ -150,19 +154,25 @@ def _analyze_chunk(texts: Sequence[str]) -> AnalysisShard:
 
 
 def _chunk_bounds(n: int, chunk_size: int) -> list[tuple[int, int]]:
-    """Deterministic contiguous chunk bounds over *n* records."""
+    """Cut *n* records into ``ceil(n / chunk_size)`` contiguous chunks
+    whose sizes differ by at most one.
+
+    Equal cuts give no chunk less work than the others: 8,193 records
+    become two chunks of about 4,096, not 8,192 plus one, so a second
+    worker never starts for a sliver.  The store is the same for any
+    cut.
+    """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    n_chunks = -(-n // chunk_size)
     return [
-        (start, min(start + chunk_size, n))
-        for start in range(0, n, chunk_size)
+        (n * i // n_chunks, n * (i + 1) // n_chunks)
+        for i in range(n_chunks)
     ]
 
 
 def _run_shards(
-    extractor,
-    text_chunks: Sequence[Sequence[str]],
-    n_workers: int,
+    extractor, text_chunks: Sequence[Sequence[str]]
 ) -> list[AnalysisShard]:
     """Analyze every chunk on the executor, shards in chunk order.
 
@@ -173,7 +183,6 @@ def _run_shards(
         shards = parallel.map_ordered(
             _analyze_chunk,
             text_chunks,
-            n_workers,
             initializer=make_worker_state,
             initargs=(extractor.analyzer.clone_spec(),),
         )
@@ -181,7 +190,8 @@ def _run_shards(
         raise ParallelAnalysisError(
             f"an analysis worker died mid-run ({exc}); no shards were "
             f"merged and no partial results were committed -- re-run, "
-            f"or analyze serially with n_workers=1"
+            f"or pin the process to one CPU (taskset -c 0) to analyze "
+            f"inline"
         ) from exc
     if parallel.STATS["fallbacks"] > fallbacks:
         ENGINE_STATS["serial_fallbacks"] += 1
@@ -208,10 +218,10 @@ def analyze_many(
     store,
     extractor,
     records: Sequence,
-    n_workers: int | None = None,
+    *,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> int:
-    """Analyze *records* on *n_workers* processes and append to *store*.
+    """Analyze *records* on the executor's workers and append to *store*.
 
     The parallel counterpart of
     :func:`repro.core.columnar.append_comments`: same deterministic
@@ -221,14 +231,13 @@ def analyze_many(
     serial run.  Neither path reads or writes the analysis cache.
     Returns the number of appended rows.
 
-    When the executor would run one worker (``n_workers`` of
-    ``None``/``0``/``1``, one usable CPU, or one chunk) the serial path
-    runs directly.
+    When the executor would run one worker (one usable CPU, one chunk,
+    or a call from inside another map) the serial path runs directly.
     """
     from repro.core.columnar import append_comments
 
     bounds = _chunk_bounds(len(records), chunk_size)
-    if parallel.effective_workers(n_workers, len(bounds)) <= 1:
+    if parallel.effective_workers(len(bounds)) <= 1:
         return append_comments(
             store, extractor, records, chunk_size=chunk_size
         )
@@ -236,7 +245,7 @@ def analyze_many(
         [records[i].content for i in range(start, end)]
         for start, end in bounds
     ]
-    shards = _run_shards(extractor, text_chunks, n_workers)
+    shards = _run_shards(extractor, text_chunks)
     appended = 0
     for (start, end), shard in zip(bounds, shards):
         chunk = records[start:end]
@@ -255,15 +264,17 @@ def analyze_many(
 def analyze_stats_many(
     extractor,
     texts: Sequence[str],
-    n_workers: int,
-    chunk_size: int | None = None,
+    *,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> list:
     """Parallel equivalent of :meth:`FeatureExtractor.comment_stats_many`.
 
     No production path calls it: ``comment_stats_many`` serves small
     streaming batches serially.  It stays while the benchmark's tracer
-    (``perfbench/spans.py``) wraps it by name.  Analyzes *texts* on workers,
-    merges vocabularies deterministically, and rebuilds per-comment
+    (``perfbench/spans.py``) wraps it by name.  Analyzes *texts* in
+    :func:`analyze_many`'s chunks on the executor's workers (a batch of
+    one chunk runs inline), merges vocabularies deterministically, and
+    rebuilds per-comment
     :class:`~repro.core.features.CommentStats` in the parent with
     :func:`~repro.core.features.stats_from_columns` -- field-for-field
     equal to the serial objects, with ``token_ids`` already in the
@@ -273,13 +284,9 @@ def analyze_stats_many(
     """
     from repro.core.features import CommentColumns, stats_from_columns
 
-    if chunk_size is None:
-        # Stats batches are typically served whole: one chunk per
-        # worker minimizes per-chunk spec/pickle overhead.
-        chunk_size = max(1, -(-len(texts) // max(1, n_workers)))
     bounds = _chunk_bounds(len(texts), chunk_size)
     text_chunks = [texts[start:end] for start, end in bounds]
-    shards = _run_shards(extractor, text_chunks, n_workers)
+    shards = _run_shards(extractor, text_chunks)
     interner = extractor._interner()
     cache = extractor._cache
     results: list = []

@@ -82,18 +82,15 @@ def train_cats(
 def evaluate_on_dataset(
     cats: CATS,
     dataset: LabeledDataset,
-    n_workers: int | None = None,
+    *,
     chunk_size: int | None = None,
 ) -> tuple[EvaluationResult, DetectionReport]:
     """Detect over *dataset* and compute Table VI metrics.
 
-    ``n_workers > 1`` parallelizes feature extraction (the hot path)
-    across worker processes; ``chunk_size`` chunks stage-2 scoring.
-    Results are identical to the serial run.
+    ``chunk_size`` chunks stage-2 scoring; feature extraction runs on
+    the executor's workers.  Results equal a serial run's.
     """
-    report = cats.detect(
-        dataset.items, n_workers=n_workers, chunk_size=chunk_size
-    )
+    report = cats.detect(dataset.items, chunk_size=chunk_size)
     predictions = report.is_fraud.astype(int)
     precision, recall, f1 = precision_recall_f1(dataset.labels, predictions)
 

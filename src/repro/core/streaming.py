@@ -198,8 +198,10 @@ class StreamingDetector:
         detector performs is appended to it (exactly once, at the
         moment the comment is folded into its item's accumulator), so
         the store accumulates the full analyzed history as flat arrays
-        -- the serving layer persists it beside checkpoints and
-        restarts rehydrate from it instead of re-segmenting.
+        for offline work (feature matrices for retraining).  The
+        serving layer saves it before each checkpoint; a restart
+        restores accumulators from the checkpoint and never reads the
+        store's rows.
     """
 
     def __init__(
@@ -629,6 +631,11 @@ class StreamingDetector:
     def is_tracked(self, item_id: int) -> bool:
         """True when *item_id* currently has buffered state."""
         return item_id in self._items
+
+    def n_buffered(self, item_id: int) -> int:
+        """Comments buffered for *item_id* (0 when untracked)."""
+        state = self._items.get(item_id)
+        return len(state.comments) if state else 0
 
     def tracked_items(self) -> list[int]:
         """Item ids with buffered state, least-recently-observed first."""

@@ -70,33 +70,24 @@ class CATS:
 
     # -- detection -----------------------------------------------------------
 
-    def extract_features(
-        self, items: Sequence, n_workers: int | None = None
-    ) -> np.ndarray:
+    def extract_features(self, items: Sequence) -> np.ndarray:
         """Feature matrix for *items* (exposes the extractor).
 
-        ``n_workers > 1`` analyzes the batch's comments on that many
-        worker processes (see :meth:`FeatureExtractor.extract_many`);
-        rows are identical to the serial result.
+        The batch's comments are analyzed on the executor's workers
+        (see :meth:`FeatureExtractor.extract_many`); rows are identical
+        to a serial run.
         """
-        return self.feature_extractor.extract_items(
-            items, n_workers=n_workers
-        )
+        return self.feature_extractor.extract_items(items)
 
     def detect(
-        self,
-        items: Sequence,
-        n_workers: int | None = None,
-        chunk_size: int | None = None,
+        self, items: Sequence, *, chunk_size: int | None = None
     ) -> DetectionReport:
         """Detect fraud items among *items* on any platform.
 
-        ``n_workers`` parallelizes comment analysis; ``chunk_size``
-        chunks stage-2 batch scoring (see :meth:`Detector.predict_proba`).
+        ``chunk_size`` chunks stage-2 batch scoring (see
+        :meth:`Detector.predict_proba`).
         """
-        features = self.feature_extractor.extract_items(
-            items, n_workers=n_workers
-        )
+        features = self.feature_extractor.extract_items(items)
         return self.detector.detect(items, features, chunk_size=chunk_size)
 
     def detect_with_features(
@@ -115,14 +106,13 @@ class CATS:
         features: np.ndarray,
         labels: Sequence[int],
         n_splits: int = 5,
-        n_workers: int | None = None,
     ) -> dict[str, float]:
         """K-fold CV of the configured stage-2 classifier on a feature
         matrix (the paper's Table III protocol for one candidate).
 
-        ``n_workers > 1`` fits the folds concurrently on worker
-        processes (see :func:`repro.ml.model_selection.cross_validate`);
-        the metric dict is bitwise identical for every worker count.
+        The folds are fit concurrently on the executor's workers (see
+        :func:`repro.ml.model_selection.cross_validate`); the metric
+        dict is bitwise identical for every worker count.
         """
         from repro.core.detector import (
             CLASSIFIER_FACTORIES,
@@ -141,11 +131,7 @@ class CATS:
             CLASSIFIER_FACTORIES[name], self.config.detector.seed
         )
         return cross_validate(
-            factory,
-            X,
-            np.asarray(labels),
-            n_splits=n_splits,
-            n_workers=n_workers,
+            factory, X, np.asarray(labels), n_splits=n_splits
         )
 
     # -- introspection --------------------------------------------------------

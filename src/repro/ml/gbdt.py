@@ -101,19 +101,33 @@ def _sample_columns(
     return np.arange(n_features)
 
 
+def bin_cuts(column: np.ndarray, n_bins: int) -> np.ndarray:
+    """Sorted cut points splitting *column* into at most *n_bins* bins.
+
+    The cuts are real values usable directly against the raw column
+    (``x <= cut``):
+
+    * when the column has at most ``n_bins`` distinct values, each value
+      gets its own bin and the cuts are the midpoints between
+      consecutive distinct values -- exactly the cut points the exact
+      greedy scan would consider;
+    * otherwise the cuts are interior quantiles of the column
+      (deduplicated), giving an even mass split across bins.
+
+    The GBDT's :class:`_BinMapper` and the drift monitor's reference
+    histogram (:mod:`repro.mlops.drift`) both bin with it.
+    """
+    distinct = np.unique(column)
+    if len(distinct) <= n_bins:
+        return 0.5 * (distinct[:-1] + distinct[1:])
+    probs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
+    return np.unique(np.quantile(column, probs))
+
+
 class _BinMapper:
     """Pre-bins a feature matrix into at most ``n_bins`` quantile bins.
 
-    For every feature, the candidate split thresholds are real values
-    usable directly against the raw matrix (``x <= threshold``):
-
-    * when a feature has at most ``n_bins`` distinct values, each value
-      gets its own bin and the thresholds are the midpoints between
-      consecutive distinct values -- exactly the cut points the exact
-      greedy scan would consider;
-    * otherwise thresholds are interior quantiles of the column
-      (deduplicated), giving an even mass split across bins.
-
+    Every feature's candidate split thresholds are its :func:`bin_cuts`;
     ``codes[i, j] <= t`` is then equivalent to
     ``X[i, j] <= thresholds[j][t]``.
     """
@@ -132,12 +146,7 @@ class _BinMapper:
         codes = np.empty((n, f), dtype=np.uint8)
         for j in range(f):
             column = X[:, j]
-            distinct = np.unique(column)
-            if len(distinct) <= self.n_bins:
-                splits = 0.5 * (distinct[:-1] + distinct[1:])
-            else:
-                probs = np.linspace(0.0, 1.0, self.n_bins + 1)[1:-1]
-                splits = np.unique(np.quantile(column, probs))
+            splits = bin_cuts(column, self.n_bins)
             self.split_points_.append(splits)
             # code = number of thresholds strictly below x, so
             # code <= t  <=>  x <= splits[t].

@@ -6,10 +6,11 @@ Table III of the paper compares the six candidate classifiers under
 that protocol and reports the mean fraud-class precision and recall over
 folds, which are the two numbers the table prints.
 
-Folds are independent, so :func:`cross_validate` can fit them
-concurrently (``n_workers=N``) on the :mod:`repro.parallel` executor;
-the factory must pickle for the folds to reach worker processes.  The
-result is *bitwise identical* for any worker count: all splits are
+Folds are independent, so :func:`cross_validate` fits them
+concurrently on the :mod:`repro.parallel` executor; the factory must
+pickle for the folds to reach worker processes (one that does not runs
+inline, counted as an executor fallback).  The result is *bitwise
+identical* for any worker count: all splits are
 materialized up front from the one splitter RNG, per-fold seeds (when
 the factory wants them) are derived with ``SeedSequence.spawn`` rather
 than sharing a generator, and fold metrics are aggregated in fold order
@@ -182,7 +183,6 @@ def cross_validate(
     n_splits: int = 5,
     stratified: bool = True,
     seed: int | np.random.Generator | None = 0,
-    n_workers: int | None = None,
 ) -> dict[str, float]:
     """Run k-fold CV and return mean fraud-class precision/recall/F1.
 
@@ -194,11 +194,10 @@ def cross_validate(
         it declares a ``fold_seed`` parameter, each fold's model gets
         an independent integer seed derived from *seed* via
         ``SeedSequence.spawn`` (never a generator shared across folds).
-    n_workers:
-        Fit folds concurrently on up to this many worker processes
-        (:func:`repro.parallel.map_ordered`).  Output is bitwise
-        identical for every value: splits are materialized before any
-        fit and metrics aggregate in fold order.
+
+    Folds are fit on :func:`repro.parallel.map_ordered`'s workers.
+    Output is bitwise identical for every worker count: splits are
+    materialized before any fit and metrics aggregate in fold order.
 
     Returns a dict with keys ``precision``, ``recall``, ``f1`` (fold
     means) and ``precision_std`` / ``recall_std`` / ``f1_std``.
@@ -214,7 +213,7 @@ def cross_validate(
 
     # Splits consume the splitter RNG first (above); fold seeds are
     # derived only when asked for, so factories without a ``fold_seed``
-    # parameter see exactly the serial pre-n_workers behaviour.
+    # parameter see one shared seed, as a plain serial loop would.
     if _accepts_fold_seed(model_factory):
         fold_seeds: list[int | None] = list(spawn_seeds(seed, n_splits))
     else:
@@ -224,7 +223,7 @@ def cross_validate(
         (model_factory, X_arr, y_arr, train_idx, test_idx, fold_seed)
         for (train_idx, test_idx), fold_seed in zip(splits, fold_seeds)
     ]
-    fold_metrics = map_ordered(_fit_and_score, tasks, n_workers)
+    fold_metrics = map_ordered(_fit_and_score, tasks)
     precisions = [m[0] for m in fold_metrics]
     recalls = [m[1] for m in fold_metrics]
     f1s = [m[2] for m in fold_metrics]

@@ -52,24 +52,25 @@ def grid_search(
     metric: str = "f1",
     n_splits: int = 5,
     seed: int = 0,
-    n_workers: int | None = None,
 ) -> GridSearchResult:
     """Exhaustive CV search over *param_grid*.
 
     ``model_factory(**params)`` must return a fresh unfitted classifier.
-    With ``n_workers=N`` the candidate configurations are scored
-    concurrently on worker processes (a factory that does not pickle
-    runs inline); every candidate still uses the same integer *seed*
-    (identical folds keep the comparison fair), results are gathered in
-    grid order and ties still resolve to the earliest combination, so
-    the outcome is identical for any worker count.
+    The candidate configurations are scored concurrently on the
+    executor's workers (a factory that does not pickle runs inline);
+    each candidate's own CV is a map inside that map, so its folds run
+    inline.  Every candidate uses the same integer *seed* (identical
+    folds keep the comparison fair), results are gathered in grid order
+    and ties resolve to the earliest combination, so the outcome is
+    identical for any worker count.
 
+    >>> from functools import partial
     >>> from repro.ml import GradientBoostingClassifier
     >>> import numpy as np
     >>> rng = np.random.default_rng(0)
     >>> X = rng.normal(size=(80, 3)); y = (X[:, 0] > 0).astype(int)
     >>> result = grid_search(
-    ...     lambda **kw: GradientBoostingClassifier(seed=0, **kw),
+    ...     partial(GradientBoostingClassifier, seed=0),
     ...     {"max_depth": [2, 3]}, X, y, n_splits=4)
     >>> result.best_params["max_depth"] in (2, 3)
     True
@@ -88,7 +89,7 @@ def grid_search(
     tasks = [
         (model_factory, params, X, y, n_splits, seed) for params in candidates
     ]
-    all_scores = map_ordered(_evaluate_candidate, tasks, n_workers)
+    all_scores = map_ordered(_evaluate_candidate, tasks)
 
     trials: list[tuple[dict[str, object], dict[str, float]]] = []
     best_params: dict[str, object] | None = None

@@ -9,8 +9,8 @@ the shift measurable:
 
 * at **train time**, :class:`ReferenceHistogram` captures one quantile
   histogram per Table II feature over the training feature matrix,
-  using the same binning policy as the hist-GBDT's ``_BinMapper``
-  (distinct-value midpoints when a feature has few values, interior
+  binned by the hist-GBDT's own cuts (:func:`repro.ml.gbdt.bin_cuts`:
+  distinct-value midpoints when a feature has few values, interior
   quantiles otherwise), persisted as JSON + npz next to the model
   artifact;
 * at **serve time**, :class:`DriftMonitor` folds every feature vector
@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.core.features import FEATURE_NAMES
 from repro.core.persistence import write_json_atomic, write_npz_atomic
+from repro.ml.gbdt import bin_cuts
 
 #: Default bin budget per feature (quantile bins; fewer when a feature
 #: has fewer distinct values).
@@ -158,10 +159,11 @@ class ReferenceHistogram:
     ) -> "ReferenceHistogram":
         """Build a reference from a training feature matrix.
 
-        Bin edges follow the hist-GBDT ``_BinMapper`` policy: a feature
-        with at most ``n_bins`` distinct values gets midpoints between
-        consecutive distinct values (every value its own bin); denser
-        features get deduplicated interior quantiles.
+        Bin edges are the hist-GBDT's cuts
+        (:func:`repro.ml.gbdt.bin_cuts`): a feature with at most
+        ``n_bins`` distinct values gets midpoints between consecutive
+        distinct values (every value its own bin); denser features get
+        deduplicated interior quantiles.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] == 0:
@@ -179,12 +181,7 @@ class ReferenceHistogram:
         counts: list[np.ndarray] = []
         for j in range(X.shape[1]):
             column = X[:, j]
-            distinct = np.unique(column)
-            if len(distinct) <= n_bins:
-                edge = 0.5 * (distinct[:-1] + distinct[1:])
-            else:
-                probs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
-                edge = np.unique(np.quantile(column, probs))
+            edge = bin_cuts(column, n_bins)
             edges.append(edge)
             counts.append(
                 np.bincount(

@@ -195,6 +195,8 @@ class ShadowScorer:
         self.n_scored = 0
         self.n_flipped = 0
         self.n_untracked = 0
+        #: Tracked items skipped because the two buffers differ.
+        self.n_partial = 0
         self.sum_abs_delta = 0.0
         self.max_abs_delta = 0.0
         self.delta_histogram = {label: 0 for label in DELTA_LABELS}
@@ -212,20 +214,32 @@ class ShadowScorer:
             self.stream.update_sales(int(item_id), int(volume))
         self.stream.observe_many(list(comments))
 
-    def compare(self, champion_results: dict[int, float]) -> None:
+    def compare(
+        self,
+        champion_results: dict[int, float],
+        champion: StreamingDetector,
+    ) -> None:
         """Score the champion's just-scored items on the challenger.
 
+        Only items both sides score on the same evidence are compared.
         Items the shadow does not track (e.g. the champion restored
         them from a checkpoint predating the shadow) are skipped and
-        counted.  Every delta lands in the bounded histogram; verdict
-        flips and large deltas additionally go to the rotating log.
+        counted, and so are items whose shadow buffer holds a different
+        number of comments than *champion*'s (a restored item that got
+        new comments after the restart: the shadow saw only those).
+        Every delta lands in the bounded histogram; verdict flips and
+        large deltas additionally go to the rotating log.
         """
-        tracked = [
-            item_id
-            for item_id in champion_results
-            if self.stream.is_tracked(item_id)
-        ]
-        self.n_untracked += len(champion_results) - len(tracked)
+        tracked = []
+        for item_id in champion_results:
+            if not self.stream.is_tracked(item_id):
+                self.n_untracked += 1
+            elif self.stream.n_buffered(item_id) != champion.n_buffered(
+                item_id
+            ):
+                self.n_partial += 1
+            else:
+                tracked.append(item_id)
         if not tracked:
             return
         shadow_results = self.stream.force_rescore_many(tracked)
@@ -264,6 +278,7 @@ class ShadowScorer:
             "records_observed": self.stream.n_observed,
             "scored": self.n_scored,
             "untracked_skips": self.n_untracked,
+            "partial_history_skips": self.n_partial,
             "flipped_verdicts": self.n_flipped,
             "alerts": len(self.stream.alerts),
             "mean_abs_delta": (

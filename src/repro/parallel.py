@@ -1,13 +1,18 @@
-"""One ordered process-pool map with one fallback policy.
+"""One ordered process-pool map with one parallelism policy.
 
-:func:`map_ordered` runs ``min(requested, usable CPUs, tasks)`` workers.
-One worker runs the tasks inline: no pool, nothing pickled.  More share
-one :class:`ProcessPoolExecutor` and results come back in task order.
-A pool that cannot be used (the first task does not pickle, or spawning
-is refused) runs the same tasks inline, counted in :data:`STATS` and
-logged.  A worker dying mid-run raises :class:`BrokenProcessPool`.  An
-*initializer* builds per-worker state that tasks read through
-:func:`worker_state`; inline runs drop it afterwards.
+:func:`map_ordered` runs ``min(usable CPUs, tasks)`` workers; callers
+never choose a count.  The cap is the process's CPU affinity mask, so
+``taskset -c 0 ...`` (or a one-CPU cpuset) runs everything inline.  One
+worker runs the tasks inline: no pool, nothing pickled.  A map started
+inside another map also runs inline -- in a pool worker, or inside an
+inline map -- so nested maps never start a second pool.  More workers
+share one :class:`ProcessPoolExecutor` and results come back in task
+order.  A pool that cannot be used (the first task does not pickle, or
+spawning is refused) runs the same tasks inline, counted in
+:data:`STATS` and logged.  A worker dying mid-run raises
+:class:`BrokenProcessPool`.  An *initializer* builds per-worker state
+that tasks read through :func:`worker_state`; inline runs drop it
+afterwards.
 """
 
 from __future__ import annotations
@@ -25,6 +30,10 @@ STATS = {"fallbacks": 0}
 
 _STATE = None
 
+#: True while this process runs a map's tasks (for good in a pool
+#: worker); a map started then runs inline.
+_IN_MAP = False
+
 
 def usable_cpus() -> int:
     """CPUs this process may run on (its affinity mask where known)."""
@@ -34,10 +43,11 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def effective_workers(requested: int | None, n_tasks: int) -> int:
-    """Workers a map of *n_tasks* tasks runs on when *requested* ask."""
-    workers = min(requested or 1, n_tasks)
-    return min(workers, usable_cpus()) if workers > 1 else 1
+def effective_workers(n_tasks: int) -> int:
+    """Workers a map of *n_tasks* tasks runs on in this process."""
+    if _IN_MAP:
+        return 1
+    return max(1, min(usable_cpus(), n_tasks))
 
 
 def worker_state():
@@ -46,29 +56,30 @@ def worker_state():
 
 
 def _init(initializer: Callable | None, initargs: tuple) -> None:
-    global _STATE
+    global _STATE, _IN_MAP
+    _IN_MAP = True
     _STATE = initializer(*initargs) if initializer is not None else None
 
 
 def _inline(fn: Callable, tasks: Sequence, initializer, initargs) -> list:
-    global _STATE
-    saved = _STATE
+    global _STATE, _IN_MAP
+    saved = _STATE, _IN_MAP
     try:
         _init(initializer, initargs)
         return [fn(task) for task in tasks]
     finally:
-        _STATE = saved
+        _STATE, _IN_MAP = saved
 
 
 def map_ordered(
     fn: Callable,
     tasks: Sequence,
-    n_workers: int | None,
     initializer: Callable | None = None,
     initargs: tuple = (),
 ) -> list:
-    """``[fn(task) for task in tasks]`` on up to *n_workers* processes."""
-    workers = effective_workers(n_workers, len(tasks))
+    """``[fn(task) for task in tasks]`` on :func:`effective_workers`
+    processes."""
+    workers = effective_workers(len(tasks))
     if workers <= 1:
         return _inline(fn, tasks, initializer, initargs)
     pool = None

@@ -81,8 +81,6 @@ class DetectionService:
         Write a checkpoint after this many newly ingested records
         (``None`` with a checkpoint dir means only the final checkpoint
         on :meth:`stop`).
-    checkpoint_keep:
-        Retained checkpoint generations.
     shard:
         ``(shard_index, shard_count)`` when this service is one worker
         of a sharded cluster.  Checkpoints are stamped with the pair,
@@ -134,7 +132,6 @@ class DetectionService:
         queue_depth: int = 256,
         checkpoint_dir: str | None = None,
         checkpoint_every: int | None = None,
-        checkpoint_keep: int = 3,
         shard: tuple[int, int] | None = None,
         model_info: dict[str, Any] | None = None,
         shadow: "ShadowScorer | None" = None,
@@ -173,7 +170,7 @@ class DetectionService:
         if drift_monitor is not None:
             self.stream.feature_observer = drift_monitor.observe_matrix
         self.checkpoints = (
-            CheckpointManager(checkpoint_dir, keep=checkpoint_keep)
+            CheckpointManager(checkpoint_dir)
             if checkpoint_dir
             else None
         )
@@ -550,7 +547,7 @@ class DetectionService:
         if self.shadow is None or not results:
             return
         try:
-            self.shadow.compare(results)
+            self.shadow.compare(results, self.stream)
         except Exception:  # noqa: BLE001 - isolate the shadow
             self.n_shadow_errors += 1
 

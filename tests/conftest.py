@@ -94,18 +94,6 @@ def trained_cats(analyzer, small_config, d0_small) -> CATS:
 
 
 @pytest.fixture()
-def cpus(monkeypatch):
-    """Pretend the host has *n* usable CPUs, so executor tests clamp the
-    same way (and reach real process pools) on any host."""
-    from repro import parallel
-
-    def set_cpus(n: int) -> None:
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: n)
-
-    return set_cpus
-
-
-@pytest.fixture()
 def rng() -> np.random.Generator:
     """A fresh deterministic generator per test."""
     return np.random.default_rng(1234)

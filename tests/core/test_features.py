@@ -7,6 +7,14 @@ from hypothesis import given, settings, strategies as st
 from repro.core.analyzer import SemanticAnalyzer
 from repro.core.features import FEATURE_NAMES, N_FEATURES, FeatureExtractor
 from repro.core.parallel_analysis import DEFAULT_CHUNK_SIZE
+from repro import parallel
+from tests.pools import (
+    PARITY_CPUS,
+    count_real_pools,
+    executor,
+    on_cpus,
+    simulated_pool,
+)
 
 
 @pytest.fixture(scope="module")
@@ -203,22 +211,32 @@ class TestBatch:
 class TestParallelBatch:
     def test_parallel_matrix_equals_serial(self, extractor, taobao_platform):
         lists = [i.comment_texts for i in taobao_platform.items[:24]]
-        serial = extractor.extract_many(lists)
-        parallel = extractor.extract_many(lists, n_workers=2)
-        np.testing.assert_array_equal(serial, parallel)
+        with on_cpus(1):
+            serial = extractor.extract_many(lists)
+        for n_cpus in PARITY_CPUS[1:]:
+            with executor(n_cpus):
+                np.testing.assert_array_equal(
+                    extractor.extract_many(lists), serial
+                )
 
-    def test_single_worker_stays_serial(self, extractor):
-        lists = [["haoping"], ["zan"]]
-        np.testing.assert_array_equal(
-            extractor.extract_many(lists, n_workers=1),
-            extractor.extract_many(lists),
-        )
+    def test_single_worker_stays_serial(self, extractor, monkeypatch):
+        lists = [["haoping"], ["zan"]] * (DEFAULT_CHUNK_SIZE // 2 + 1)
+        expected = extractor.extract_many(lists)
 
-    def test_parallel_leaves_interner_as_serial(self, analyzer, cpus):
+        def boom(*args, **kwargs):
+            raise AssertionError("one usable CPU built a pool")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", boom)
+        with on_cpus(1):
+            np.testing.assert_array_equal(
+                extractor.extract_many(lists), expected
+            )
+
+    def test_parallel_leaves_interner_as_serial(self, analyzer, monkeypatch):
         """The workers' vocabulary and segmentation counts merge back:
         a parallel batch leaves its analyzer exactly as a serial batch
-        leaves an identical clone."""
-        cpus(2)
+        leaves an identical clone -- and by default a two-chunk batch
+        on two CPUs does build a pool."""
         rng = np.random.default_rng(21)
         words = sorted(analyzer.lexicon.positive) + ["hao", "zan", "!"]
         # More comments than one analysis chunk, so two workers run,
@@ -230,18 +248,19 @@ class TestParallelBatch:
             ]
             for __ in range(DEFAULT_CHUNK_SIZE // 20 + 10)
         ]
+        built = count_real_pools(monkeypatch)
         spec = analyzer.clone_spec()
         runs = []
-        for n_workers in (1, 2):
+        for n_cpus in (1, 2):
             clone = SemanticAnalyzer.from_spec(spec)
             base = len(clone.interner)
-            matrix = FeatureExtractor(clone).extract_many(
-                lists, n_workers=n_workers
-            )
+            with on_cpus(n_cpus):
+                matrix = FeatureExtractor(clone).extract_many(lists)
             grown = clone.interner.words_from(base)
             runs.append((matrix, grown, clone.n_segmentations))
-        (serial, serial_grown, serial_segs), (parallel, grown, segs) = runs
-        assert np.array_equal(serial, parallel)
+        assert built == [2]
+        (serial, serial_grown, serial_segs), (parallel_x, grown, segs) = runs
+        assert np.array_equal(serial, parallel_x)
         assert serial_grown and grown == serial_grown
         assert serial_segs > 0 and segs == serial_segs
 
@@ -262,9 +281,11 @@ class TestParallelBatch:
 
     def test_more_workers_than_items(self, extractor):
         lists = [["haoping"], ["zan"]]
-        X = extractor.extract_many(lists, n_workers=8)
+        with simulated_pool(8):
+            X = extractor.extract_many(lists)
         assert X.shape == (2, N_FEATURES)
-        np.testing.assert_array_equal(X, extractor.extract_many(lists))
+        with on_cpus(1):
+            np.testing.assert_array_equal(X, extractor.extract_many(lists))
 
 
 class TestBincountOrder:

@@ -7,12 +7,13 @@ feature matrix (``np.array_equal``), and a byte-identical interner
 snapshot -- and a worker dying mid-run fails loudly with *nothing*
 appended, never a partial store.
 
-Parity is property-tested with :func:`tests.pools.simulated_pool`, an
-in-process stand-in for the executor's process pool that runs the exact
-worker code (initializer-cloned analyzer, cumulative local interner,
-shard emission) minus the process spawn -- chunk scheduling, vocabulary
-growth across chunk boundaries, and the deterministic merge are all
-real.  Real process pools get a smoke test and the killed-worker test.
+Parity is property-tested over usable-CPU counts 1, 2, 3 and 7
+(:data:`tests.pools.PARITY_CPUS`): 2 runs a real process pool, 3 and 7
+:func:`tests.pools.simulated_pool`, an in-process stand-in that runs
+the exact worker code (initializer-cloned analyzer, cumulative local
+interner, shard emission) minus the process spawn -- chunk scheduling,
+vocabulary growth across chunk boundaries, and the deterministic merge
+are all real.  Real process pools also get the killed-worker test.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from repro.core.parallel_analysis import (
     analyze_many,
     analyze_stats_many,
 )
-from tests.pools import simulated_pool
+from tests.pools import PARITY_CPUS, executor, on_cpus, simulated_pool
 
 #: Non-timestamp columns that must match bit for bit between serial and
 #: parallel stores (timestamps are wall clock at append).
@@ -183,9 +184,35 @@ class TestMergeInterners:
             analyzer.interner.words_from(-1)
 
 
+class TestChunkBounds:
+    @given(n=st.integers(0, 40_000), chunk_size=st.integers(1, 9_000))
+    @settings(max_examples=200, deadline=None)
+    def test_ceil_many_contiguous_near_equal_chunks(self, n, chunk_size):
+        bounds = parallel_analysis._chunk_bounds(n, chunk_size)
+        assert len(bounds) == -(-n // chunk_size)
+        starts = [start for start, _ in bounds]
+        ends = [end for _, end in bounds]
+        assert starts[1:] == ends[:-1]
+        assert bounds == [] or (starts[0], ends[-1]) == (0, n)
+        sizes = [end - start for start, end in bounds]
+        assert all(1 <= size <= chunk_size for size in sizes)
+        assert sizes == [] or max(sizes) - min(sizes) <= 1
+
+    def test_a_store_one_over_a_chunk_splits_in_halves(self):
+        # Not a full chunk plus a one-comment sliver for a second worker.
+        assert parallel_analysis._chunk_bounds(8193, 8192) == [
+            (0, 4096),
+            (4096, 8193),
+        ]
+        assert parallel_analysis._chunk_bounds(16384, 8192) == [
+            (0, 8192),
+            (8192, 16384),
+        ]
+
+
 class TestInlineParity:
-    """Serial/parallel bit-identity over random corpora, worker counts
-    {1,2,3,7} and ragged chunk sizes."""
+    """Serial/parallel bit-identity over random corpora, usable-CPU
+    counts {1,2,3,7} and ragged chunk sizes."""
 
     @given(data=st.data())
     @settings(max_examples=20, deadline=None)
@@ -196,19 +223,15 @@ class TestInlineParity:
             max_size=6,
         ).map("".join)
         texts = data.draw(st.lists(comment, min_size=2, max_size=40))
-        n_workers = data.draw(st.sampled_from([1, 2, 3, 7]))
+        n_cpus = data.draw(st.sampled_from(PARITY_CPUS))
         chunk_size = data.draw(st.sampled_from([1, 2, 3, 5, 8, 64]))
         records = make_records(texts)
 
         _, _, expected = serial_store(spec, records)
         _, extractor, store = fresh(spec)
-        with simulated_pool():
+        with executor(n_cpus):
             appended = analyze_many(
-                store,
-                extractor,
-                records,
-                n_workers=n_workers,
-                chunk_size=chunk_size,
+                store, extractor, records, chunk_size=chunk_size
             )
         assert appended == len(records)
         assert_stores_identical(expected, store)
@@ -224,10 +247,8 @@ class TestInlineParity:
         records = make_records(texts, comments_per_item=2)
         _, _, expected = serial_store(spec, records)
         _, extractor, store = fresh(spec)
-        with simulated_pool():
-            analyze_many(
-                store, extractor, records, n_workers=3, chunk_size=2
-            )
+        with simulated_pool(3):
+            analyze_many(store, extractor, records, chunk_size=2)
         assert_stores_identical(expected, store)
 
     def test_feature_matrix_and_item_coverage(self, spec, words):
@@ -236,10 +257,8 @@ class TestInlineParity:
         item_ids = sorted({r.item_id for r in records})
         _, _, expected = serial_store(spec, records)
         _, extractor, store = fresh(spec)
-        with simulated_pool():
-            analyze_many(
-                store, extractor, records, n_workers=7, chunk_size=5
-            )
+        with simulated_pool(7):
+            analyze_many(store, extractor, records, chunk_size=5)
         assert np.array_equal(
             expected.feature_matrix(item_ids),
             store.feature_matrix(item_ids),
@@ -249,13 +268,21 @@ class TestInlineParity:
                 expected.item_rows(item_id), store.item_rows(item_id)
             )
 
-    def test_serial_path_for_one_worker(self, spec, words):
-        records = make_records([words[0], words[1]])
+    def test_serial_path_for_one_worker(self, spec, words, monkeypatch):
+        records = make_records([words[0], words[1]] * 3)
         _, _, expected = serial_store(spec, records)
-        for n_workers in (None, 0, 1):
+        runs_before = ENGINE_STATS["parallel_runs"]
+        def boom(*args, **kwargs):
+            raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", boom)
+        # One usable CPU, or one chunk: no pool, no engine run.
+        for n_cpus, chunk_size in ((1, 2), (8, 64)):
             _, extractor, store = fresh(spec)
-            analyze_many(store, extractor, records, n_workers=n_workers)
+            with on_cpus(n_cpus):
+                analyze_many(store, extractor, records, chunk_size=chunk_size)
             assert_stores_identical(expected, store)
+        assert ENGINE_STATS["parallel_runs"] == runs_before
 
 
 class TestCounterMerge:
@@ -264,10 +291,8 @@ class TestCounterMerge:
         records = make_records(texts)
         clone, extractor, store = fresh(spec)
         assert clone.n_segmentations == 0
-        with simulated_pool():
-            analyze_many(
-                store, extractor, records, n_workers=3, chunk_size=4
-            )
+        with simulated_pool(3):
+            analyze_many(store, extractor, records, chunk_size=4)
         # Every distinct text was segmented somewhere on the parent's
         # behalf; the merged counter reports that work.
         assert clone.n_segmentations >= len(set(texts))
@@ -278,9 +303,9 @@ class TestCounterMerge:
 
 
 class TestBatchPathSkipsObjectsAndCache:
-    @pytest.mark.parametrize("n_workers", [1, 3])
+    @pytest.mark.parametrize("n_cpus", [1, 3])
     def test_append_builds_no_stats_and_never_touches_the_cache(
-        self, spec, words, monkeypatch, n_workers
+        self, spec, words, monkeypatch, n_cpus
     ):
         from repro.core import features
 
@@ -290,10 +315,8 @@ class TestBatchPathSkipsObjectsAndCache:
         monkeypatch.setattr(features, "stats_from_columns", forbidden)
         records = make_records([words[0], words[1] * 2, words[0]] * 3)
         _, extractor, store = fresh(spec)
-        with simulated_pool():
-            analyze_many(
-                store, extractor, records, n_workers=n_workers, chunk_size=2
-            )
+        with simulated_pool(n_cpus):
+            analyze_many(store, extractor, records, chunk_size=2)
         assert store.n_comments == len(records)
         info = extractor.cache_info()
         assert (info.hits, info.misses, info.size) == (0, 0, 0)
@@ -305,8 +328,8 @@ class TestStatsMany:
         _, serial_extractor, _ = fresh(spec)
         serial = serial_extractor.comment_stats_many(texts)
         _, extractor, _ = fresh(spec)
-        with simulated_pool():
-            rebuilt = analyze_stats_many(extractor, texts, n_workers=3)
+        with simulated_pool(3):
+            rebuilt = analyze_stats_many(extractor, texts, chunk_size=3)
         assert len(rebuilt) == len(serial)
         for left, right in zip(serial, rebuilt):
             assert left == right
@@ -319,13 +342,25 @@ class TestStatsMany:
         assert again[0] is rebuilt[0]
         assert extractor.cache_info().hits > hits_before
 
+    def test_one_chunk_batch_runs_inline(self, spec, words, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", boom)
+        texts = [words[0], words[1] * 2] * 5
+        _, serial_extractor, _ = fresh(spec)
+        serial = serial_extractor.comment_stats_many(texts)
+        _, extractor, _ = fresh(spec)
+        with on_cpus(8):
+            assert analyze_stats_many(extractor, texts) == serial
+
     def test_interner_grows_identically(self, spec, oov):
         texts = [oov * k for k in range(2, 10)]
         clone_serial, serial_extractor, _ = fresh(spec)
         serial_extractor.comment_stats_many(texts)
         clone_parallel, extractor, _ = fresh(spec)
-        with simulated_pool():
-            analyze_stats_many(extractor, texts, n_workers=3)
+        with simulated_pool(3):
+            analyze_stats_many(extractor, texts, chunk_size=2)
         assert (
             clone_serial.interner.export_state()["words"]
             == clone_parallel.interner.export_state()["words"]
@@ -333,24 +368,24 @@ class TestStatsMany:
 
 
 class TestProcessPool:
-    def test_real_pool_matches_serial(self, spec, words, oov, cpus):
-        cpus(2)
+    @on_cpus(2)
+    def test_real_pool_matches_serial(self, spec, words, oov):
         texts = [words[i % len(words)] + (oov if i % 7 == 0 else "")
                  for i in range(30)]
         records = make_records(texts)
         _, _, expected = serial_store(spec, records)
         _, extractor, store = fresh(spec)
         runs_before = ENGINE_STATS["parallel_runs"]
-        analyze_many(store, extractor, records, n_workers=2, chunk_size=7)
+        analyze_many(store, extractor, records, chunk_size=7)
         assert_stores_identical(expected, store)
         assert ENGINE_STATS["parallel_runs"] == runs_before + 1
 
+    @on_cpus(2)
     def test_killed_worker_fails_loudly_with_empty_store(
-        self, spec, words, monkeypatch, cpus
+        self, spec, words, monkeypatch
     ):
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("fork start method required to inject the kill")
-        cpus(2)
         parent = os.getpid()
 
         def die(state, texts):
@@ -366,28 +401,24 @@ class TestProcessPool:
         records = make_records([words[0], words[1], words[2]] * 4)
         _, extractor, store = fresh(spec)
         with pytest.raises(ParallelAnalysisError, match="died mid-run"):
-            analyze_many(
-                store, extractor, records, n_workers=2, chunk_size=3
-            )
+            analyze_many(store, extractor, records, chunk_size=3)
         # Nothing was committed: no partial store.
         assert store.n_comments == 0
         assert store.n_tokens == 0
 
+    @on_cpus(4)
     def test_spawn_denied_falls_back_to_serial(
-        self, spec, words, monkeypatch, cpus
+        self, spec, words, monkeypatch
     ):
         def deny(*args, **kwargs):
             raise PermissionError("no processes in this sandbox")
 
-        cpus(4)
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", deny)
         records = make_records([words[0], words[1]] * 3)
         _, _, expected = serial_store(spec, records)
         _, extractor, store = fresh(spec)
         fallbacks_before = ENGINE_STATS["serial_fallbacks"]
-        appended = analyze_many(
-            store, extractor, records, n_workers=4, chunk_size=2
-        )
+        appended = analyze_many(store, extractor, records, chunk_size=2)
         assert appended == len(records)
         assert ENGINE_STATS["serial_fallbacks"] == fallbacks_before + 1
         assert_stores_identical(expected, store)

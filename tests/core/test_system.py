@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import CATSConfig, DetectorConfig
 from repro.core.system import CATS
 from repro.ml.metrics import precision_recall_f1
+from tests.pools import on_cpus
 
 
 class TestFit:
@@ -87,18 +88,19 @@ class TestCrossValidateDetector:
             assert type(bound()) is type(factory(3)), name
 
     def test_workers_reach_processes_and_match_serial(
-        self, trained_cats, d0_small, cpus
+        self, trained_cats, d0_small
     ):
         from repro import parallel
 
-        cpus(2)  # on any host, the folds take the pool
         features = trained_cats.extract_features(d0_small.items)
-        serial = trained_cats.cross_validate_detector(
-            features, d0_small.labels, n_splits=3
-        )
+        with on_cpus(1):
+            serial = trained_cats.cross_validate_detector(
+                features, d0_small.labels, n_splits=3
+            )
         before = parallel.STATS["fallbacks"]
-        parallel_cv = trained_cats.cross_validate_detector(
-            features, d0_small.labels, n_splits=3, n_workers=2
-        )
+        with on_cpus(2):  # on any host, the folds take the pool
+            parallel_cv = trained_cats.cross_validate_detector(
+                features, d0_small.labels, n_splits=3
+            )
         assert parallel.STATS["fallbacks"] == before
         assert parallel_cv == serial

@@ -21,7 +21,7 @@ from repro.core.columnar import ColumnarCommentStore, append_comments
 from repro.core.features import FeatureExtractor, ItemAccumulator
 from repro.core.parallel_analysis import analyze_many
 from tests.oracles.features import comment_stats_scalar
-from tests.pools import simulated_pool
+from tests.pools import executor
 
 #: Distinct-word counts around the points where numpy's pairwise sum
 #: changes order: the 8-way unroll starts at 8 terms, and vectors past
@@ -339,18 +339,14 @@ class TestAppendBoundaries:
         )
         _assert_rows_match_scalar(store, extractor, boundary_batch)
 
-    @pytest.mark.parametrize("n_workers", [2, 3])
+    @pytest.mark.parametrize("n_cpus", [2, 3])
     def test_parallel_store_matches_scalar(
-        self, private_analyzer, boundary_batch, n_workers
+        self, private_analyzer, boundary_batch, n_cpus
     ):
         extractor = FeatureExtractor(private_analyzer)
         store = ColumnarCommentStore(private_analyzer.interner)
-        with simulated_pool():
+        with executor(n_cpus):
             analyze_many(
-                store,
-                extractor,
-                _records(boundary_batch),
-                n_workers=n_workers,
-                chunk_size=4,
+                store, extractor, _records(boundary_batch), chunk_size=4
             )
         _assert_rows_match_scalar(store, extractor, boundary_batch)

@@ -1,15 +1,38 @@
-"""Parallel cross-validation and tuning: bitwise identity across workers.
+"""Parallel cross-validation and tuning: bitwise identity across CPUs.
 
-The executor itself (ordering, clamping, fallbacks) is tested in
-``tests/test_parallel.py``.
+Every result on 2 CPUs (a real process pool) and 3 or 7 (a simulated
+pool) equals the 1-CPU (inline) result.  The executor itself (ordering,
+sizing, fallbacks) is tested in ``tests/test_parallel.py``.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
 
+from repro import parallel
 from repro.ml import GaussianNB, GradientBoostingClassifier, spawn_seeds
 from repro.ml.model_selection import _accepts_fold_seed, cross_validate
 from repro.ml.tuning import grid_search
+from tests.pools import PARITY_CPUS, executor, on_cpus
+
+
+def _fold_seeded(fold_seed):
+    return GradientBoostingClassifier(
+        n_estimators=6, max_depth=2, seed=fold_seed
+    )
+
+
+def _on_every_cpu_count(run):
+    """``run()`` on each of :data:`PARITY_CPUS`; picklable work never
+    falls back inline."""
+    results = []
+    for n_cpus in PARITY_CPUS:
+        before = parallel.STATS["fallbacks"]
+        with executor(n_cpus):
+            results.append(run())
+        assert parallel.STATS["fallbacks"] == before, n_cpus
+    return results
 
 
 @pytest.fixture(scope="module")
@@ -37,20 +60,22 @@ class TestSpawnSeeds:
 
 
 class TestParallelCrossValidate:
-    def test_identical_for_1_and_4_workers(self, data):
+    def test_identical_on_every_cpu_count(self, data):
         X, y = data
-        factory = lambda: GradientBoostingClassifier(
-            n_estimators=8, max_depth=3, seed=0
+        factory = partial(
+            GradientBoostingClassifier, n_estimators=8, max_depth=3, seed=0
         )
-        serial = cross_validate(factory, X, y, n_workers=1)
-        parallel = cross_validate(factory, X, y, n_workers=4)
-        assert serial == parallel  # bitwise: dict of exact floats
+        serial, *others = _on_every_cpu_count(
+            lambda: cross_validate(factory, X, y)
+        )
+        for result in others:
+            assert result == serial  # bitwise: dict of exact floats
 
-    def test_identical_to_default_serial_path(self, data):
+    def test_default_identical_to_one_cpu(self, data):
         X, y = data
-        assert cross_validate(GaussianNB, X, y) == cross_validate(
-            GaussianNB, X, y, n_workers=4
-        )
+        with on_cpus(1):
+            serial = cross_validate(GaussianNB, X, y)
+        assert cross_validate(GaussianNB, X, y) == serial
 
     def test_fold_seed_factories_get_distinct_seeds(self, data):
         X, y = data
@@ -60,22 +85,19 @@ class TestParallelCrossValidate:
             seen.append(fold_seed)
             return GaussianNB()
 
-        cross_validate(factory, X, y, n_splits=5, n_workers=1)
+        with on_cpus(1):  # the closure records seeds in this process
+            cross_validate(factory, X, y, n_splits=5)
         assert len(seen) == 5
         assert len(set(seen)) == 5
         assert seen == spawn_seeds(0, 5)
 
     def test_fold_seed_identical_across_worker_counts(self, data):
         X, y = data
-
-        def factory(fold_seed):
-            return GradientBoostingClassifier(
-                n_estimators=6, max_depth=2, seed=fold_seed
-            )
-
-        assert cross_validate(factory, X, y, n_workers=1) == cross_validate(
-            factory, X, y, n_workers=4
+        serial, *others = _on_every_cpu_count(
+            lambda: cross_validate(_fold_seeded, X, y)
         )
+        for result in others:
+            assert result == serial
 
     def test_accepts_fold_seed_detection(self):
         assert _accepts_fold_seed(lambda fold_seed: None)
@@ -85,27 +107,13 @@ class TestParallelCrossValidate:
 
 
 class TestParallelGridSearch:
-    def test_identical_for_1_and_4_workers(self, data):
+    def test_identical_on_every_cpu_count(self, data):
         X, y = data
-        serial = grid_search(
-            lambda **kw: GradientBoostingClassifier(
-                n_estimators=5, seed=0, **kw
-            ),
-            {"max_depth": [2, 3], "learning_rate": [0.1, 0.3]},
-            X,
-            y,
-            n_splits=3,
-            n_workers=1,
+        factory = partial(GradientBoostingClassifier, n_estimators=5, seed=0)
+        grid = {"max_depth": [2, 3], "learning_rate": [0.1, 0.3]}
+        serial, *others = _on_every_cpu_count(
+            lambda: grid_search(factory, grid, X, y, n_splits=3)
         )
-        parallel = grid_search(
-            lambda **kw: GradientBoostingClassifier(
-                n_estimators=5, seed=0, **kw
-            ),
-            {"max_depth": [2, 3], "learning_rate": [0.1, 0.3]},
-            X,
-            y,
-            n_splits=3,
-            n_workers=4,
-        )
-        assert serial == parallel
-        assert serial.trials == parallel.trials
+        for result in others:
+            assert result == serial
+            assert result.trials == serial.trials

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.features import FEATURE_NAMES
+from repro.ml.gbdt import _BinMapper
 from repro.mlops.drift import (
     DriftError,
     DriftMonitor,
@@ -138,6 +139,32 @@ class TestReferenceHistogram:
         reference = ReferenceHistogram.from_matrix(X)
         assert len(reference.edges[0]) == 0
         assert reference.counts[0].tolist() == [X.shape[0]]
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n_rows=st.integers(1, 120),
+        levels=st.lists(st.integers(1, 60), min_size=11, max_size=11),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_edges_are_the_gbdt_split_points(self, seed, n_rows, levels):
+        """One cut computation: the reference's edges equal the hist
+        GBDT's split points bit for bit, on constant, low-cardinality
+        and continuous columns alike."""
+        rng = np.random.default_rng(seed)
+        X = np.column_stack(
+            [
+                rng.normal(size=n_rows)
+                if k == 60
+                else rng.integers(0, k, size=n_rows) * 0.37
+                for k in levels
+            ]
+        )
+        reference = ReferenceHistogram.from_matrix(X, n_bins=32)
+        mapper = _BinMapper(n_bins=32)
+        mapper.fit_transform(X)
+        for edge, splits in zip(reference.edges, mapper.split_points_):
+            assert edge.dtype == splits.dtype
+            assert edge.tobytes() == splits.tobytes()
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(DriftError):

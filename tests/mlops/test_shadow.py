@@ -72,9 +72,10 @@ class TestDisagreementLog:
 
 
 def _champion_results(cats, feed, item_ids):
+    """``(results, stream)``: the champion's scores and its detector."""
     stream = StreamingDetector(cats, rescore_growth=1.0)
     stream.observe_many(feed)
-    return stream.force_rescore_many(item_ids)
+    return stream.force_rescore_many(item_ids), stream
 
 
 class TestShadowScorer:
@@ -83,7 +84,7 @@ class TestShadowScorer:
     ):
         shadow = ShadowScorer(trained_cats, trained_cats, rescore_growth=1.0)
         shadow.observe_feed(feed)
-        shadow.compare(_champion_results(trained_cats, feed, feed_item_ids))
+        shadow.compare(*_champion_results(trained_cats, feed, feed_item_ids))
         stats = shadow.stats()
         assert stats["scored"] == len(feed_item_ids)
         assert stats["flipped_verdicts"] == 0
@@ -105,7 +106,7 @@ class TestShadowScorer:
             trained_cats, challenger_cats, rescore_growth=1.0
         )
         shadow.observe_feed(feed)
-        shadow.compare(_champion_results(trained_cats, feed, feed_item_ids))
+        shadow.compare(*_champion_results(trained_cats, feed, feed_item_ids))
         stats = shadow.stats()
         assert stats["scored"] == len(feed_item_ids)
         assert sum(stats["delta_histogram"].values()) == stats["scored"]
@@ -115,7 +116,10 @@ class TestShadowScorer:
     def test_untracked_items_skipped(self, trained_cats, feed):
         shadow = ShadowScorer(trained_cats, trained_cats, rescore_growth=1.0)
         # The shadow never saw any traffic: nothing is tracked.
-        shadow.compare({feed[0].item_id: 0.5, 999999: 0.1})
+        shadow.compare(
+            {feed[0].item_id: 0.5, 999999: 0.1},
+            StreamingDetector(trained_cats),
+        )
         stats = shadow.stats()
         assert stats["scored"] == 0
         assert stats["untracked_skips"] == 2
@@ -131,7 +135,7 @@ class TestShadowScorer:
             rescore_growth=1.0,
         )
         shadow.observe_feed(feed)
-        shadow.compare(_champion_results(trained_cats, feed, feed_item_ids))
+        shadow.compare(*_champion_results(trained_cats, feed, feed_item_ids))
         shadow.close()
         entries = shadow.log.entries()
         assert len(entries) == len(feed_item_ids)
@@ -179,6 +183,53 @@ class TestServiceIntegration:
         assert stats["shadow"]["scored"] == len(feed_item_ids)
         assert stats["shadow_errors"] == 0
 
+    def test_warm_restart_compares_only_equal_evidence(
+        self, trained_cats, feed, tmp_path
+    ):
+        """After a warm restart the champion holds restored buffers the
+        shadow never saw; an identical challenger must still read zero
+        disagreement, because restored items are skipped (counted), not
+        compared on their post-restart comments alone."""
+        # Every 4th item first appears after the restart; the others
+        # are restored from the checkpoint and keep receiving comments.
+        held = set(sorted({r.item_id for r in feed})[::4])
+        cut = int(len(feed) * 0.8)
+        before = [r for r in feed[:cut] if r.item_id not in held]
+        after = [
+            r for i, r in enumerate(feed) if i >= cut or r.item_id in held
+        ]
+        first = DetectionService(
+            trained_cats, rescore_growth=1.0, max_delay_ms=2,
+            checkpoint_dir=str(tmp_path),
+        ).start()
+        try:
+            first.feed(before)
+        finally:
+            first.stop()  # writes the final checkpoint
+
+        shadow = ShadowScorer(trained_cats, trained_cats, rescore_growth=1.0)
+        restarted = DetectionService(
+            trained_cats, rescore_growth=1.0, max_delay_ms=2,
+            checkpoint_dir=str(tmp_path), shadow=shadow,
+        ).start()
+        try:
+            assert restarted.restored_from is not None
+            restarted.feed(after)
+            restored_ids = {r.item_id for r in before}
+            after_ids = sorted({r.item_id for r in after})
+            restarted.score(after_ids)
+        finally:
+            restarted.stop()
+        stats = restarted.stats()["shadow"]
+        new_ids = [i for i in after_ids if i not in restored_ids]
+        resumed = len(after_ids) - len(new_ids)
+        assert new_ids and resumed  # the fixture exercises both kinds
+        assert stats["flipped_verdicts"] == 0
+        assert stats["max_abs_delta"] == 0.0
+        assert stats["scored"] == len(new_ids)
+        assert stats["partial_history_skips"] == resumed
+        assert stats["untracked_skips"] == 0
+
     def test_crashing_shadow_counted_not_fatal(
         self, trained_cats, feed, feed_item_ids
     ):
@@ -186,7 +237,7 @@ class TestServiceIntegration:
             def observe_feed(self, comments, sales=()):
                 raise RuntimeError("boom")
 
-            def compare(self, results):
+            def compare(self, results, champion):
                 raise RuntimeError("boom")
 
             def stats(self):

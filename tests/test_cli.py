@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.persistence import save_cats
+from tests.pools import on_cpus
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +26,7 @@ class TestParser:
             ["train", "/tmp/m", "--scale", "0.01"]
         )
         assert args.scale == 0.01
-        assert args.cv_workers is None
+        assert args.cv == 0
 
     def test_unknown_platform_rejected(self):
         with pytest.raises(SystemExit):
@@ -137,30 +138,26 @@ class TestAnalyzeCommand:
     ):
         import numpy as np
 
-        from repro import parallel
         from repro.core.columnar import ColumnarCommentStore
 
         crawl_dir = tmp_path / "crawl"
         main(["crawl", str(crawl_dir), "--scale", "0.0002", "--seed", "9"])
         serial_dir = tmp_path / "serial"
         parallel_dir = tmp_path / "parallel"
-        main(
-            [
-                "analyze", str(model_dir), str(crawl_dir),
-                str(serial_dir), "--workers", "1",
-            ]
-        )
-        rc = main(
-            [
-                "analyze", str(model_dir), str(crawl_dir),
-                str(parallel_dir), "--workers", "2",
-            ]
-        )
+        with on_cpus(1):  # as under `taskset -c 0`
+            main(["analyze", str(model_dir), str(crawl_dir), str(serial_dir)])
+        assert json.loads(
+            capsys.readouterr().out.strip().splitlines()[-1]
+        )["workers"] == 1
+        with on_cpus(2):
+            rc = main(
+                ["analyze", str(model_dir), str(crawl_dir), str(parallel_dir)]
+            )
         assert rc == 0
         out = capsys.readouterr().out.strip().splitlines()
         summary = json.loads(out[-1])
-        # The summary reports what ran: 2 chunks on at most 2 CPUs.
-        assert summary["workers"] == min(2, parallel.usable_cpus())
+        # The summary reports what ran: 2 chunks on 2 CPUs.
+        assert summary["workers"] == 2
         assert summary["fallbacks"] == 0
         serial = ColumnarCommentStore.load(serial_dir)
         parallel = ColumnarCommentStore.load(parallel_dir)

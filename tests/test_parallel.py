@@ -1,18 +1,20 @@
 """Tests for repro.parallel: the one ordered process-pool executor.
 
-The contract: the effective worker count is ``min(requested, usable
-CPUs, tasks)``; one worker runs inline without building a pool or
+The contract: the worker count is ``min(usable CPUs, tasks)``, and 1
+inside another map; one worker runs inline without building a pool or
 pickling anything; results come back in task order; a pool that cannot
 be used (an unpicklable task, a refused spawn) runs the same tasks
 inline, counted and without leaving worker state behind; a worker dying
 mid-run raises.  Cross-validation and grid search with picklable
-factories run on real processes and equal their serial results.
+factories run on real processes and equal their one-CPU results; a grid
+search builds one pool and runs every candidate's CV inline.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from unittest import mock
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
@@ -24,6 +26,12 @@ from repro.ml import GaussianNB, GradientBoostingClassifier
 from repro.ml.model_selection import cross_validate
 from repro.ml.tuning import grid_search
 from repro.parallel import effective_workers, map_ordered, worker_state
+from tests.pools import (
+    SimulatedPool,
+    count_real_pools,
+    on_cpus,
+    simulated_pool,
+)
 
 
 def _square(t: int) -> int:
@@ -54,6 +62,11 @@ def _boom(*args, **kwargs):
     raise AssertionError("pool built or task pickled")
 
 
+def _nested_workers(n_tasks: int) -> int:
+    return effective_workers(n_tasks)
+
+
+
 @pytest.fixture(scope="module")
 def data():
     rng = np.random.default_rng(0)
@@ -63,13 +76,21 @@ def data():
 
 
 class TestEffectiveWorkers:
-    def test_clamped_to_cpus_and_tasks(self, cpus):
-        cpus(8)
-        assert effective_workers(None, 5) == 1
-        assert effective_workers(0, 5) == 1
-        assert effective_workers(4, 2) == 2
-        assert effective_workers(16, 100) == 8
-        assert effective_workers(4, 0) == 1
+    def test_clamped_to_cpus_and_tasks(self):
+        with on_cpus(8):
+            assert effective_workers(5) == 5
+            assert effective_workers(2) == 2
+            assert effective_workers(100) == 8
+            assert effective_workers(1) == 1
+            assert effective_workers(0) == 1
+        with on_cpus(1):
+            assert effective_workers(100) == 1
+
+    @on_cpus(8)
+    def test_one_inside_a_map(self):
+        # One task runs inline; inside it every map gets one worker.
+        assert map_ordered(_nested_workers, [100]) == [1]
+        assert effective_workers(100) == 8
 
     def test_follows_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
@@ -82,52 +103,60 @@ class TestEffectiveWorkers:
 
 
 class TestMapOrdered:
-    def test_results_in_task_order(self, cpus):
-        cpus(4)
+    @on_cpus(4)
+    def test_results_in_task_order(self):
         tasks = list(range(20))
         before = parallel.STATS["fallbacks"]
-        assert map_ordered(_late_first, tasks, n_workers=4) == [
-            t * t for t in tasks
-        ]
+        assert map_ordered(_late_first, tasks) == [t * t for t in tasks]
         assert parallel.STATS["fallbacks"] == before
 
-    def test_serial_when_workers_none(self):
-        assert map_ordered(lambda t: t + 1, [1, 2], None) == [2, 3]
-
+    @on_cpus(1)
     def test_one_worker_never_builds_a_pool(self, monkeypatch, data):
-        """n_workers=1 must run inline: no pool, no pickle probe --
+        """One usable CPU must run inline: no pool, no pickle probe --
         spawn and serialization overhead for nothing."""
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", _boom)
         monkeypatch.setattr(parallel.pickle, "dumps", _boom)
-        assert map_ordered(lambda t: t * 2, [1, 2, 3], n_workers=1) == [
-            2,
-            4,
-            6,
-        ]
+        assert map_ordered(lambda t: t * 2, [1, 2, 3]) == [2, 4, 6]
         X, y = data
-        cross_validate(GaussianNB, X, y, n_splits=3, n_workers=1)
+        cross_validate(GaussianNB, X, y, n_splits=3)
         grid_search(
             lambda **kw: GaussianNB(),
             {"var_smoothing": [1e-9]},
             X,
             y,
             n_splits=3,
-            n_workers=1,
         )
 
-    def test_one_usable_cpu_runs_inline_when_four_requested(
-        self, monkeypatch
-    ):
+    def test_one_usable_cpu_runs_inline(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", _boom)
         monkeypatch.setattr(parallel.pickle, "dumps", _boom)
         before = parallel.STATS["fallbacks"]
-        assert effective_workers(4, 3) == 1
-        assert map_ordered(_square, [1, 2, 3], n_workers=4) == [1, 4, 9]
+        assert effective_workers(3) == 1
+        assert map_ordered(_square, [1, 2, 3]) == [1, 4, 9]
         assert parallel.STATS["fallbacks"] == before
 
-    def test_probe_pickles_one_task_not_the_list(self, monkeypatch, cpus):
-        cpus(2)
+    @on_cpus(4)
+    def test_one_task_never_builds_a_pool(self, monkeypatch):
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _boom)
+        monkeypatch.setattr(parallel.pickle, "dumps", _boom)
+        assert map_ordered(_square, [3]) == [9]
+
+    @on_cpus(4)
+    def test_nested_map_runs_inline_without_probe(self):
+        """A map inside an inline map neither probes nor falls back."""
+        before = parallel.STATS["fallbacks"]
+
+        def outer(t):
+            # An unpicklable inner task: a probe would fail and count.
+            return map_ordered(lambda u: u + t, [1, 2, 3])
+
+        # The outer map's lambda fails its own probe: one fallback.
+        assert map_ordered(outer, [10, 20]) == [[11, 12, 13], [21, 22, 23]]
+        assert parallel.STATS["fallbacks"] == before + 1
+
+    @on_cpus(2)
+    def test_probe_pickles_one_task_not_the_list(self, monkeypatch):
         probed = []
         real_dumps = parallel.pickle.dumps
 
@@ -137,7 +166,7 @@ class TestMapOrdered:
 
         monkeypatch.setattr(parallel.pickle, "dumps", spy)
         tasks = list(range(50))
-        map_ordered(lambda t: t, tasks, n_workers=2)
+        map_ordered(lambda t: t, tasks)
         # The picklability probe must serialize (fn, first task), never
         # the whole task list (large batches would pay serialization
         # twice).
@@ -150,93 +179,104 @@ class TestMapOrdered:
             for obj in (entry if isinstance(entry, tuple) else (entry,))
         )
 
-    def test_unpicklable_task_runs_inline_and_is_counted(
-        self, monkeypatch, cpus
-    ):
+    @on_cpus(2)
+    def test_unpicklable_task_runs_inline_and_is_counted(self, monkeypatch):
         class Unpicklable:
             def __reduce__(self):
                 raise TypeError("not picklable")
 
-        cpus(2)
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", _boom)
         before = parallel.STATS["fallbacks"]
-        result = map_ordered(
-            lambda t: 1, [Unpicklable(), Unpicklable()], n_workers=2
-        )
+        result = map_ordered(lambda t: 1, [Unpicklable(), Unpicklable()])
         assert result == [1, 1]
         assert parallel.STATS["fallbacks"] == before + 1
 
-    def test_refused_spawn_runs_inline_and_is_counted(
-        self, monkeypatch, cpus
-    ):
+    @on_cpus(2)
+    def test_refused_spawn_runs_inline_and_is_counted(self, monkeypatch):
         def deny(*args, **kwargs):
             raise PermissionError("no processes in this sandbox")
 
-        cpus(2)
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", deny)
         before = parallel.STATS["fallbacks"]
-        assert map_ordered(_square, [1, 2, 3], n_workers=2) == [1, 4, 9]
+        assert map_ordered(_square, [1, 2, 3]) == [1, 4, 9]
         assert parallel.STATS["fallbacks"] == before + 1
 
-    def test_fallback_leaves_no_worker_state(self, monkeypatch, cpus):
+    @on_cpus(2)
+    def test_fallback_leaves_no_worker_state(self, monkeypatch):
         def deny(*args, **kwargs):
             raise OSError("fork refused")
 
-        cpus(2)
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", deny)
         result = map_ordered(
-            _state_value,
-            [0, 1],
-            n_workers=2,
-            initializer=dict,
-            initargs=({"clone": 1},),
+            _state_value, [0, 1], initializer=dict, initargs=({"clone": 1},)
         )
         assert result == [{"clone": 1}, {"clone": 1}]
         assert worker_state() is None
 
-    def test_initializer_state_lives_in_each_worker(self, cpus):
-        cpus(2)
+    @on_cpus(2)
+    def test_initializer_state_lives_in_each_worker(self):
         results = map_ordered(
-            _pid_and_state,
-            list(range(6)),
-            n_workers=2,
-            initializer=os.getpid,
+            _pid_and_state, list(range(6)), initializer=os.getpid
         )
         # Each task saw the state its own worker process built.
         assert all(pid == state for pid, state in results)
         assert all(pid != os.getpid() for pid, _ in results)
         assert worker_state() is None
 
-    def test_dying_worker_raises(self, cpus):
-        cpus(2)
+    @on_cpus(2)
+    def test_dying_worker_raises(self):
         with pytest.raises(BrokenProcessPool):
-            map_ordered(_die, [os.getpid()] * 2, n_workers=2)
+            map_ordered(_die, [os.getpid()] * 2)
 
 
 class TestRealProcessParity:
-    """Picklable factories reach the process pool and equal serial."""
+    """Picklable factories reach the process pool and equal one CPU."""
 
-    def test_cross_validate(self, data, cpus):
-        cpus(2)
+    def test_cross_validate(self, data, monkeypatch):
         X, y = data
         factory = partial(
             GradientBoostingClassifier, n_estimators=8, max_depth=3, seed=0
         )
-        serial = cross_validate(factory, X, y, n_workers=1)
+        with on_cpus(1):
+            serial = cross_validate(factory, X, y)
+        built = count_real_pools(monkeypatch)
         before = parallel.STATS["fallbacks"]
-        assert cross_validate(factory, X, y, n_workers=2) == serial
+        with on_cpus(2):
+            assert cross_validate(factory, X, y) == serial
         assert parallel.STATS["fallbacks"] == before
+        assert built == [2]
 
-    def test_grid_search(self, data, cpus):
-        cpus(2)
+    def test_grid_search(self, data, monkeypatch):
+        """One pool for the candidates; each candidate's CV runs inline
+        in its worker, so no second pool and no fallback."""
         X, y = data
         factory = partial(GradientBoostingClassifier, n_estimators=5, seed=0)
         grid = {"max_depth": [2, 3], "learning_rate": [0.1, 0.3]}
-        serial = grid_search(factory, grid, X, y, n_splits=3, n_workers=1)
+        with on_cpus(1):
+            serial = grid_search(factory, grid, X, y, n_splits=3)
+        built = count_real_pools(monkeypatch)
         before = parallel.STATS["fallbacks"]
-        parallel_result = grid_search(
-            factory, grid, X, y, n_splits=3, n_workers=2
-        )
+        with on_cpus(2):
+            parallel_result = grid_search(factory, grid, X, y, n_splits=3)
         assert parallel.STATS["fallbacks"] == before
+        assert built == [2]
         assert parallel_result == serial
         assert parallel_result.trials == serial.trials
+
+    def test_grid_search_inner_cvs_never_build_a_pool(self, data):
+        """In a (simulated) pool worker, a candidate's CV is a nested
+        map: it runs inline instead of building a pool of its own."""
+        built = []
+
+        class Counting(SimulatedPool):
+            def __init__(self, max_workers, initializer, initargs):
+                built.append(max_workers)
+                super().__init__(max_workers, initializer, initargs)
+
+        X, y = data
+        factory = partial(GradientBoostingClassifier, n_estimators=3, seed=0)
+        grid = {"max_depth": [2, 3, 4]}
+        with simulated_pool(3):
+            with mock.patch.object(parallel, "ProcessPoolExecutor", Counting):
+                grid_search(factory, grid, X, y, n_splits=3)
+        assert built == [3]
