@@ -10,7 +10,8 @@ Measures per-comment analysis throughput in two implementations:
   chunk kernel (``FeatureExtractor.comment_columns``) over each batch's
   cache misses -- trie-driven Viterbi segmentation, one interned
   ``int32`` arena with array-computed stat columns, one *batched* NB
-  sentiment call -- with per-comment objects built from its columns.
+  sentiment call -- with each batch's rows assembled from cached and
+  fresh kernel rows.
 
 The feed replays each distinct comment ``DUPLICATE_FACTOR`` times in
 shuffled order -- the regime the cache is built for (spam campaigns
@@ -22,7 +23,7 @@ The benchmark *asserts* correctness before it reports timings:
 * the scalar and vectorized paths must produce **bit-identical**
   per-item feature matrices (``np.array_equal``, no tolerance);
 * evicting and re-filling a deliberately tiny cache must reproduce the
-  same statistics (eviction is invisible except in time);
+  same columns (eviction is invisible except in time);
 * the vectorized path must clear ``MIN_SPEEDUP`` (3x) over the scalar
   reference on the duplicate-heavy feed.
 
@@ -50,7 +51,8 @@ import numpy as np
 from benchutil import write_outputs
 
 from repro.analysis.reporting import render_table
-from repro.core.features import FeatureExtractor, ItemAccumulator
+from repro.core.features import FeatureExtractor
+from repro.parallel import usable_cpus
 
 REPO_ROOT = Path(__file__).parent.parent
 
@@ -58,7 +60,11 @@ REPO_ROOT = Path(__file__).parent.parent
 # `PYTHONPATH=src python benchmarks/...` run does not have the repo root
 # on the path.
 sys.path.insert(0, str(REPO_ROOT.resolve()))
-from tests.oracles.features import comment_stats_scalar  # noqa: E402
+from tests.oracles.features import (  # noqa: E402
+    ItemAccumulator,
+    assert_columns_identical,
+    comment_stats_scalar,
+)
 
 #: Acceptance floor: vectorized comments/sec over scalar comments/sec
 #: on the duplicate-heavy feed.
@@ -152,10 +158,8 @@ def check_eviction_refill(analyzer, texts: list[str]) -> None:
     assert info.evictions > 0, (
         "eviction check needs a feed larger than the tiny cache"
     )
-    second = tiny.comment_stats_many(texts)
-    assert all(a == b for a, b in zip(first, second)), (
-        "re-analyzing evicted texts must reproduce identical stats"
-    )
+    # Re-analyzing evicted texts must reproduce identical columns.
+    assert_columns_identical(tiny.comment_stats_many(texts), first)
 
 
 def run(quick: bool) -> dict:
@@ -195,6 +199,7 @@ def run(quick: bool) -> dict:
     scalar_cps = n / scalar_elapsed
     vectorized_cps = n / vector_elapsed
     return {
+        "n_cpus": usable_cpus(),
         "n_comments": n,
         "n_distinct": len(set(texts)),
         "duplicate_factor": DUPLICATE_FACTOR,

@@ -8,9 +8,9 @@ Measures the three extraction regimes this repo supports on one table:
   extraction on all usable CPUs (the row names the worker count that
   ran);
 * **streaming O(n^2) baseline** -- re-extracting an item's full comment
-  buffer on every rescore (what ``StreamingDetector`` did before the
-  incremental accumulators);
-* **streaming incremental** -- the shipped accumulator path, where each
+  buffer on every rescore (what ``StreamingDetector`` did before it
+  kept running sums);
+* **streaming incremental** -- the shipped running-sum path, where each
   comment is segmented exactly once.
 
 It also *asserts* the incremental invariants so a regression cannot hide
@@ -42,7 +42,7 @@ from repro import parallel
 from repro.analysis.reporting import render_table
 from repro.collector.records import CommentRecord
 from repro.core.config import CATSConfig, LexiconConfig, Word2VecConfig
-from repro.core.features import FeatureExtractor
+from repro.core.features import FeatureExtractor, table2_rows
 from repro.core.parallel_analysis import DEFAULT_CHUNK_SIZE
 from repro.core.pipeline import train_cats
 from repro.core.streaming import StreamingDetector
@@ -176,16 +176,17 @@ def bench_streaming(cats, texts: list[str]):
         state = stream._items[1]
 
     # Invariant 1: each *distinct* comment is segmented exactly once
-    # (the accumulator analyzes each comment once; the shared analysis
+    # (the running sums analyze each comment once; the shared analysis
     # cache collapses duplicate texts on top of that).
     assert incremental_calls == n_distinct, (
         f"incremental path segmented {incremental_calls} times for "
         f"{n_distinct} distinct comments"
     )
     # Invariant 2: running sums equal batch extraction bit-for-bit.
-    assert np.array_equal(
-        state.accumulator.to_vector(), extractor.extract(texts)
-    ), "incremental features must be bit-identical to batch extraction"
+    streamed = table2_rows(np.array([state.table2_sums()]))[0]
+    assert np.array_equal(streamed, extractor.extract(texts)), (
+        "incremental features must be bit-identical to batch extraction"
+    )
 
     # O(n^2) baseline through an *uncached* extractor -- what the
     # pre-accumulator, pre-cache implementation paid.

@@ -56,7 +56,7 @@ class ShopRecord:
                 shop_url=str(_require(row, "shop_url")),
                 shop_name=str(_require(row, "shop_name")),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise RecordParseError(str(exc)) from exc
 
 
@@ -81,7 +81,7 @@ class ItemRecord:
                 price=float(_require(row, "price")),
                 sales_volume=int(_require(row, "sales_volume")),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise RecordParseError(str(exc)) from exc
 
 
@@ -110,7 +110,7 @@ class CommentRecord:
                 client=_text(row, "client_information"),
                 date=_text(row, "date"),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise RecordParseError(str(exc)) from exc
 
     @property

@@ -32,9 +32,8 @@ from repro.core.config import CATSConfig
 from repro.core.detector import Detector, DetectionReport
 from repro.core.features import (
     FEATURE_NAMES,
-    CommentStats,
+    CommentColumns,
     FeatureExtractor,
-    ItemAccumulator,
 )
 from repro.core.lexicon import SentimentLexicon, build_lexicon_pair
 from repro.core.rules import RuleFilter
@@ -54,9 +53,8 @@ __all__ = [
     "DetectionReport",
     "Detector",
     "FEATURE_NAMES",
-    "CommentStats",
+    "CommentColumns",
     "FeatureExtractor",
-    "ItemAccumulator",
     "RuleFilter",
     "SemanticAnalyzer",
     "SentimentLexicon",

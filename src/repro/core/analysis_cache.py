@@ -3,10 +3,11 @@
 Duplicate comment texts are everywhere in review streams -- the
 platform simulator reuses rendered comments across items, real spam
 campaigns paste the same promotional copy under hundreds of listings,
-and a recurring crawl re-surfaces old comments verbatim.  Since
-:class:`~repro.core.features.CommentStats` is a pure, immutable
-function of the raw text (given fixed analyzer resources), analyzing a
-duplicate is wasted segmentation and sentiment work.
+and a recurring crawl re-surfaces old comments verbatim.  Since a
+comment's analyzed row -- its token ids and stat values in
+:class:`~repro.core.features.CommentColumns` -- is a pure function of
+the raw text (given fixed analyzer resources), analyzing a duplicate is
+wasted segmentation and sentiment work.
 
 :class:`AnalysisCache` is a plain LRU keyed by raw comment text.
 :meth:`FeatureExtractor.comment_stats_many` consults it -- streaming
@@ -17,7 +18,8 @@ parallel ``analyze_many`` and ``extract_many``, which analyzes into
 in-memory stores) run the chunk kernel
 :meth:`FeatureExtractor.comment_columns` directly and neither read nor
 fill the cache: on a one-pass corpus it would hit too rarely to pay
-for the per-comment objects it needs.
+for slicing every row into an entry.  An entry is one kernel row: the
+text's token-id slice and a tuple of its stat values.
 
 Invalidation rule: cached stats are only valid for the analyzer
 resources they were computed under.  The extractor keys its cache on
@@ -25,7 +27,7 @@ the analyzer's *interner identity* (rebuilt whenever the segmenter,
 lexicon or sentiment model object is replaced) and clears the cache on
 any change; entries never go stale silently.  Eviction is safe by
 construction -- a re-analyzed evicted text produces a bit-identical
-:class:`CommentStats`, which the pipeline benchmark asserts.
+row, which the pipeline benchmark asserts.
 """
 
 from __future__ import annotations

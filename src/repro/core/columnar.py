@@ -16,10 +16,10 @@ analysis and a feature matrix is one numpy pass:
 Rescoring an item is array slicing: gather the item's rows, sum the
 stat columns, count distinct token ids in the gathered arena ranges,
 and apply :func:`~repro.core.features.table2_rows`.  The matrix is
-**bit-identical** to the :class:`~repro.core.features.ItemAccumulator`
-fold: ``np.bincount(seg, weights=w)`` adds each item's values left to
-right from 0.0 in row order, the accumulator's addition sequence
-(numpy's pairwise ``reduceat``/``sum`` would round differently).
+**bit-identical** to the streaming detector's running sums:
+``np.bincount(seg, weights=w)`` adds each item's values left to right
+from 0.0 in row order, the order the detector folds them in (numpy's
+pairwise ``reduceat``/``sum`` would round differently).
 
 Persistence and crash safety
 ----------------------------
@@ -71,8 +71,8 @@ import numpy as np
 
 from repro.core.features import (
     N_FEATURES,
+    STAT_COLUMN_DTYPES,
     SUMMED_COLUMNS,
-    CommentStats,
     table2_rows,
 )
 from repro.core.interning import (
@@ -93,27 +93,14 @@ STORE_VERSION = 1
 #: prefix of every other file.
 MANIFEST_NAME = "store.json"
 
-#: Stat columns persisted one ``.npy`` each, in manifest order.
-#: ``n_words`` is *not* a column -- it is ``np.diff(offsets)``.
-_INT_COLUMNS: tuple[tuple[str, type], ...] = (
-    ("item_id", np.int64),
-    ("comment_id", np.int64),
-    ("n_chars", np.int32),
-    ("n_positive_distinct", np.int32),
-    ("pos_neg_delta", np.int32),
-    ("n_punctuation", np.int32),
-    ("n_positive_bigrams", np.int32),
-)
-_FLOAT_COLUMNS: tuple[str, ...] = (
-    "sentiment",
-    "entropy",
-    "punctuation_ratio",
-    "bigram_ratio_term",
-    "timestamp",
-)
+#: Columns persisted one ``.npy`` each, in manifest order: identity,
+#: the chunk kernel's stat columns, the append timestamp.  ``n_words``
+#: is *not* a column -- it is ``np.diff(offsets)``.
 _COLUMN_DTYPES: dict[str, Any] = {
-    **{name: dtype for name, dtype in _INT_COLUMNS},
-    **{name: np.float64 for name in _FLOAT_COLUMNS},
+    "item_id": np.int64,
+    "comment_id": np.int64,
+    **STAT_COLUMN_DTYPES,
+    "timestamp": np.float64,
 }
 _COLUMN_NAMES: tuple[str, ...] = tuple(_COLUMN_DTYPES)
 
@@ -122,11 +109,7 @@ _COLUMN_NAMES: tuple[str, ...] = tuple(_COLUMN_DTYPES)
 #: ``comment_id``) and the append ``timestamp``, which the caller and
 #: the store provide respectively.  Parallel-analysis shards carry
 #: exactly these.
-STAT_COLUMN_NAMES: tuple[str, ...] = tuple(
-    name
-    for name in _COLUMN_NAMES
-    if name not in ("item_id", "comment_id", "timestamp")
-)
+STAT_COLUMN_NAMES: tuple[str, ...] = tuple(STAT_COLUMN_DTYPES)
 
 
 class ColumnarStoreError(RuntimeError):
@@ -167,13 +150,13 @@ class ColumnarCommentStore:
     """Append-only columnar storage for analyzed comments.
 
     Build empty against an interner (usually a live analyzer's), feed
-    it the extractor's analyzed batches -- the chunk kernel's columns
-    via :meth:`append_arrays` (:func:`append_comments`), or the
-    streaming path's :class:`CommentStats` via :meth:`append` -- and
-    :meth:`save` it beside the model.  Reopen with
-    :meth:`load` (read-mostly, memory-mapped, frozen interner) or
-    :meth:`attach` (appendable, bound to a live analyzer).  See the
-    module docstring for layout and crash-safety guarantees.
+    it the extractor's analyzed batches -- the chunk kernel's
+    :class:`~repro.core.features.CommentColumns` -- via
+    :meth:`append_arrays`, and :meth:`save` it beside the model.
+    Reopen with :meth:`load` (read-mostly, memory-mapped, frozen
+    interner) or :meth:`attach` (appendable, bound to a live
+    analyzer).  See the module docstring for layout and crash-safety
+    guarantees.
     """
 
     def __init__(
@@ -245,66 +228,6 @@ class ColumnarCommentStore:
 
     # -- appending ---------------------------------------------------------
 
-    def append(
-        self,
-        records: Sequence,
-        stats_list: Sequence[CommentStats],
-        timestamps: Sequence[float] | None = None,
-    ) -> int:
-        """Append analyzed comments; returns the first new row index.
-
-        *records* supplies identity and raw text (anything with
-        ``item_id`` / ``comment_id`` / ``content`` attributes --
-        collector :class:`~repro.collector.records.CommentRecord` and
-        simulator :class:`~repro.ecommerce.entities.Comment` both
-        qualify); *stats_list* the matching
-        :class:`~repro.core.features.CommentStats` from the extractor's
-        interned path, whose ``token_ids`` must be encoded by this
-        store's interner.  *timestamps* defaults to now.
-        """
-        if self.mode != "memory":
-            raise ColumnarStoreError(
-                "store is memory-mapped read-only; reopen with "
-                "mode='memory' or attach() to append"
-            )
-        if len(records) != len(stats_list):
-            raise ColumnarStoreError(
-                f"{len(records)} records but {len(stats_list)} stats"
-            )
-        if not records:
-            return self.n_comments
-        for stats in stats_list:
-            if stats.token_ids is None:
-                raise ColumnarStoreError(
-                    "CommentStats.token_ids is None (scalar-path stats); "
-                    "only the extractor's interned path can feed the "
-                    "columnar store"
-                )
-        lens = np.fromiter(
-            (len(s.token_ids) for s in stats_list),
-            dtype=np.int64,
-            count=len(stats_list),
-        )
-        offsets = np.zeros(len(stats_list) + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        if int(offsets[-1]):
-            tokens = np.concatenate([s.token_ids for s in stats_list])
-        else:
-            tokens = np.empty(0, dtype=np.int32)
-        columns = {
-            name: [getattr(s, name) for s in stats_list]
-            for name in SUMMED_COLUMNS
-        }
-        columns["n_chars"] = [len(r.content) for r in records]
-        return self.append_arrays(
-            item_ids=[int(r.item_id) for r in records],
-            comment_ids=[int(r.comment_id) for r in records],
-            tokens=tokens,
-            offsets=offsets,
-            columns=columns,
-            timestamps=timestamps,
-        )
-
     def append_arrays(
         self,
         item_ids: Sequence[int] | np.ndarray,
@@ -316,9 +239,10 @@ class ColumnarCommentStore:
     ) -> int:
         """Append one pre-analyzed columnar batch; returns its first row.
 
-        The array-level append primitive :meth:`append` is built on and
-        the sink parallel-analysis shards concatenate into: *tokens* is
-        the batch's interned arena (ids in **this store's interner**
+        The one append primitive: the streaming detector, the serial
+        batch path and the parallel-analysis shards all feed it a
+        :class:`~repro.core.features.CommentColumns` payload.  *tokens*
+        is the batch's interned arena (ids in **this store's interner**
         space -- remap worker-local shards first, see
         :func:`repro.core.interning.remap_ids`), *offsets* its
         batch-local offsets (length ``n + 1``, starting at 0), and
@@ -408,12 +332,12 @@ class ColumnarCommentStore:
     def feature_matrix(self, item_ids: Iterable[int]) -> np.ndarray:
         """Table II feature rows for *item_ids*, from columns alone.
 
-        Row ``i`` is bit-identical (``np.array_equal``) to folding item
-        ``i``'s stored comments through a fresh
-        :class:`~repro.core.features.ItemAccumulator` in append order.
-        Items with no stored comments get the all-zero row.  Only
-        gathers and ``np.bincount`` sums over the committed columns run
-        here: no segmentation, sentiment or per-comment objects.
+        Row ``i`` is bit-identical (``np.array_equal``) to the
+        streaming detector's row for item ``i`` after it folded the
+        same comments in append order.  Items with no stored comments
+        get the all-zero row.  Only gathers and ``np.bincount`` sums
+        over the committed columns run here: no segmentation or
+        sentiment.
         """
         item_ids = np.asarray(list(item_ids), dtype=np.int64)
         n_items = len(item_ids)
@@ -699,9 +623,9 @@ def append_comments(
 
     Each chunk goes through the extractor's chunk kernel
     (:meth:`~repro.core.features.FeatureExtractor.comment_columns`)
-    straight into :meth:`ColumnarCommentStore.append_arrays`: no
-    per-comment objects, no analysis cache.  The chunked batching keeps
-    peak memory flat on multi-million-comment datasets while still
+    straight into :meth:`ColumnarCommentStore.append_arrays`, without
+    the analysis cache.  The chunked batching keeps peak memory flat
+    on multi-million-comment datasets while still
     amortizing sentiment into one NB call per chunk.  Returns the
     number of rows appended.  :func:`~repro.core.parallel_analysis.
     analyze_many` runs it when it gets one worker.
@@ -711,10 +635,13 @@ def append_comments(
     appended = 0
     for start in range(0, len(records), chunk_size):
         chunk = records[start : start + chunk_size]
+        batch = extractor.comment_columns([record.content for record in chunk])
         store.append_arrays(
             [int(record.item_id) for record in chunk],
             [int(record.comment_id) for record in chunk],
-            *extractor.comment_columns([record.content for record in chunk]),
+            batch.tokens,
+            batch.offsets,
+            batch.columns,
         )
         appended += len(chunk)
     return appended

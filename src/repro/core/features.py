@@ -33,20 +33,22 @@ Every feature above is decomposable into per-comment statistics plus
 per-item sums over them:
 
 * :meth:`FeatureExtractor.comment_columns` is the one implementation of
-  those statistics: a chunk kernel that turns a batch of texts into the
-  columnar store's payload (interned token arena, offsets and the nine
-  stat columns) with array operations over the whole batch;
+  those statistics: a chunk kernel that turns a batch of texts into
+  :class:`CommentColumns`, the columnar store's payload (interned token
+  arena, offsets and the nine stat columns), with array operations over
+  the whole batch.  It is the only representation of an analyzed
+  comment: :meth:`FeatureExtractor.comment_stats_many` returns the same
+  columns, serving cached rows where it can;
 * :func:`table2_rows` is the one implementation of the 11 formulas over
   the per-item sums;
 * batch extraction sums a store's columns
   (:meth:`~repro.core.columnar.ColumnarCommentStore.feature_matrix`);
-  :class:`ItemAccumulator` keeps running sums of one item's
-  :class:`CommentStats` as comments arrive (streaming and serving).
+  the streaming detector folds each scored batch's rows into its items'
+  running sums as comments arrive (:mod:`repro.core.streaming`).
 
 Both add each item's float values left to right from 0.0 in comment
 order, so batch and incremental rows are *bit-identical* -- the
-invariant the streaming detector relies on (see
-:mod:`repro.core.streaming`).
+invariant the streaming detector relies on.
 
 Batches
 -------
@@ -59,10 +61,10 @@ segmentation count equal the serial run's on any number of CPUs.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -98,63 +100,21 @@ _IS_PUNCTUATION = np.zeros(max(map(ord, PUNCTUATION)) + 2, dtype=bool)
 _IS_PUNCTUATION[[ord(char) for char in PUNCTUATION]] = True
 
 
-class CommentColumns(NamedTuple):
-    """A batch of analyzed comments, one row per input text.
+#: The chunk kernel's stat columns and their dtypes, in store order.
+STAT_COLUMN_DTYPES: dict[str, type] = {
+    "n_chars": np.int32,
+    "n_positive_distinct": np.int32,
+    "pos_neg_delta": np.int32,
+    "n_punctuation": np.int32,
+    "n_positive_bigrams": np.int32,
+    "sentiment": np.float64,
+    "entropy": np.float64,
+    "punctuation_ratio": np.float64,
+    "bigram_ratio_term": np.float64,
+}
 
-    Exactly the payload :meth:`ColumnarCommentStore.append_arrays
-    <repro.core.columnar.ColumnarCommentStore.append_arrays>` takes
-    after the identity columns: the interned ``int32`` token arena, its
-    ``int64`` offsets (length ``n + 1``, starting at 0) and one array
-    per :data:`~repro.core.columnar.STAT_COLUMN_NAMES` entry.
-    """
-
-    tokens: np.ndarray
-    offsets: np.ndarray
-    columns: dict[str, np.ndarray]
-
-
-@dataclass(frozen=True)
-class CommentStats:
-    """Everything one comment contributes to the Table II features.
-
-    Computing these costs one segmentation and one sentiment call; the
-    values are immutable afterwards, so a comment is analyzed exactly
-    once however often its item is (re-)scored.
-    """
-
-    #: Comment length in words (segmentation result).
-    n_words: int
-    #: Word -> occurrence count inside this comment.
-    word_counts: Counter
-    #: ``|C_j ^ P|`` -- distinct positive words.
-    n_positive_distinct: int
-    #: ``abs(|C_j ^ P| - |C_j ^ N|)``.
-    pos_neg_delta: int
-    #: Per-comment ``P(positive)``.
-    sentiment: float
-    #: Per-comment word entropy (nats).
-    entropy: float
-    #: Punctuation marks in the raw text.
-    n_punctuation: int
-    #: Punctuation marks per raw character.
-    punctuation_ratio: float
-    #: Contiguous 2-grams with a positive member.
-    n_positive_bigrams: int
-    #: ``#pos-2grams / (|C_j| - 1)`` -- the per-comment ngram-ratio
-    #: term (0.0 for comments shorter than two words).
-    bigram_ratio_term: float
-    #: The interned segmentation behind these stats (``int32``), kept
-    #: so downstream sinks (the columnar comment store) can persist the
-    #: token arena without re-segmenting.  ``None`` on the scalar
-    #: reference path; excluded from equality so cached stats compare
-    #: by analysis result.
-    token_ids: np.ndarray | None = field(
-        default=None, compare=False, repr=False
-    )
-
-
-#: :class:`CommentStats` fields read straight from a stat column, in
-#: field order; also the order of their sums in :func:`table2_rows`.
+#: Stat columns an item's features sum, in the order of their sums in
+#: :func:`table2_rows`.
 SUMMED_COLUMNS: tuple[str, ...] = (
     "n_positive_distinct",
     "pos_neg_delta",
@@ -167,22 +127,25 @@ SUMMED_COLUMNS: tuple[str, ...] = (
 )
 
 
-def stats_from_columns(
-    batch: CommentColumns, interner: TokenInterner
-) -> list[CommentStats]:
-    """One :class:`CommentStats` per row of an analyzed batch.
+@dataclass(frozen=True, eq=False)
+class CommentColumns:
+    """A batch of analyzed comments, one row per input text.
 
-    *batch*'s token ids must be in *interner*'s id space; ``token_ids``
-    are views into the batch arena.
+    Exactly the payload :meth:`ColumnarCommentStore.append_arrays
+    <repro.core.columnar.ColumnarCommentStore.append_arrays>` takes
+    after the identity columns: the interned ``int32`` token arena, its
+    ``int64`` offsets (length ``n + 1``, starting at 0; row ``i``'s word
+    count is ``offsets[i + 1] - offsets[i]``) and one array per
+    :data:`STAT_COLUMN_DTYPES` entry, of that dtype.  ``len()`` is the
+    number of rows.
     """
-    tokens, offsets, columns = batch
-    words = interner.decode(tokens.tolist())
-    bounds = offsets.tolist()
-    values = zip(*(columns[name].tolist() for name in SUMMED_COLUMNS))
-    return [
-        CommentStats(b - a, Counter(words[a:b]), *row, token_ids=tokens[a:b])
-        for a, b, row in zip(bounds, bounds[1:], values)
-    ]
+
+    tokens: np.ndarray
+    offsets: np.ndarray
+    columns: dict[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
 
 
 def table2_rows(sums: np.ndarray) -> np.ndarray:
@@ -211,62 +174,36 @@ def table2_rows(sums: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass
-class ItemAccumulator:
-    """Running sums behind one item's feature vector.
+def _rows(batch: CommentColumns) -> list[tuple]:
+    """Each row of *batch* as an analysis-cache entry: its token slice
+    and a tuple of its :data:`STAT_COLUMN_DTYPES` values."""
+    bounds = batch.offsets.tolist()
+    columns = batch.columns
+    values = zip(*(columns[name].tolist() for name in STAT_COLUMN_DTYPES))
+    return [
+        (batch.tokens[a:b], row)
+        for a, b, row in zip(bounds, bounds[1:], values)
+    ]
 
-    Fold comments in with :meth:`add`; read the current Table II vector
-    with :meth:`to_vector`, bit-identical to
-    :meth:`FeatureExtractor.extract` of the same comments in order.
-    """
 
-    n_comments: int = 0
-    sum_positive_distinct: int = 0
-    sum_pos_neg_delta: int = 0
-    total_words: int = 0
-    #: Unique-word multiset: word -> total occurrences over all folded
-    #: comments.  ``len(word_counts)`` is the distinct-word count;
-    #: checkpoints store the counts.
-    word_counts: Counter = field(default_factory=Counter)
-    sum_sentiment: float = 0.0
-    sum_entropy: float = 0.0
-    sum_punctuation: int = 0
-    sum_punctuation_ratio: float = 0.0
-    sum_positive_bigrams: int = 0
-    sum_bigram_ratio_terms: float = 0.0
-
-    def add(self, stats: CommentStats) -> None:
-        """Fold one comment's statistics into the running sums."""
-        self.n_comments += 1
-        self.sum_positive_distinct += stats.n_positive_distinct
-        self.sum_pos_neg_delta += stats.pos_neg_delta
-        self.total_words += stats.n_words
-        self.word_counts.update(stats.word_counts)
-        self.sum_sentiment += stats.sentiment
-        self.sum_entropy += stats.entropy
-        self.sum_punctuation += stats.n_punctuation
-        self.sum_punctuation_ratio += stats.punctuation_ratio
-        self.sum_positive_bigrams += stats.n_positive_bigrams
-        self.sum_bigram_ratio_terms += stats.bigram_ratio_term
-
-    def add_many(self, stats_list: Sequence[CommentStats]) -> None:
-        """Fold a batch of comment statistics, in order."""
-        for stats in stats_list:
-            self.add(stats)
-
-    def sums(self) -> tuple:
-        """This item's row of :func:`table2_rows` input."""
-        return (
-            self.n_comments, self.total_words, len(self.word_counts),
-            self.sum_positive_distinct, self.sum_pos_neg_delta,
-            self.sum_sentiment, self.sum_entropy, self.sum_punctuation,
-            self.sum_punctuation_ratio, self.sum_positive_bigrams,
-            self.sum_bigram_ratio_terms,
-        )
-
-    def to_vector(self) -> np.ndarray:
-        """Current Table II feature vector; all-zero when empty."""
-        return table2_rows(np.array([self.sums()], dtype=np.float64))[0]
+def _stack(rows: Sequence[tuple]) -> CommentColumns:
+    """One batch from a non-empty list of :func:`_rows` entries."""
+    offsets = np.fromiter(
+        accumulate((len(tokens) for tokens, _ in rows), initial=0),
+        dtype=np.int64,
+        count=len(rows) + 1,
+    )
+    values = zip(*(row for _, row in rows))
+    return CommentColumns(
+        np.concatenate([tokens for tokens, _ in rows]),
+        offsets,
+        {
+            name: np.array(column, dtype=dtype)
+            for (name, dtype), column in zip(
+                STAT_COLUMN_DTYPES.items(), values
+            )
+        },
+    )
 
 
 #: Default bound on the shared per-comment analysis cache.
@@ -436,44 +373,43 @@ class FeatureExtractor:
             columns = {name: col[rows] for name, col in columns.items()}
         return CommentColumns(tokens, offsets, columns)
 
-    def comment_stats(self, text: str) -> CommentStats:
-        """Analyze one raw comment: ``comment_stats_many([text])[0]``."""
-        return self.comment_stats_many([text])[0]
+    def comment_stats(self, text: str) -> CommentColumns:
+        """Analyze one raw comment: ``comment_stats_many([text])``."""
+        return self.comment_stats_many([text])
 
-    def comment_stats_many(self, texts: Sequence[str]) -> list[CommentStats]:
-        """Per-comment statistics for a batch, in input order.
+    def comment_stats_many(self, texts: Sequence[str]) -> CommentColumns:
+        """Analyze a batch through the shared cache, one row per text.
 
-        Texts the shared analysis cache holds are served from it; the
-        distinct misses run through :meth:`comment_columns` once, and
-        their objects are built from its columns and cached.  Duplicate
-        texts share one object.  The streaming, serving and shadow
-        scoring paths come through here; the batch paths
-        (:func:`repro.core.columnar.append_comments`, ``extract_many``)
-        do not.
+        Returns what :meth:`comment_columns` returns for *texts*: texts
+        the analysis cache holds are served from it, the distinct misses
+        run through :meth:`comment_columns` once, and each miss's row
+        (its token slice and stat values) is cached.  The streaming,
+        serving and shadow scoring paths come through here; the batch
+        paths (:func:`repro.core.columnar.append_comments`,
+        ``extract_many``) do not.
         """
-        interner = self._interner()
+        self._interner()
         cache = self._cache
-        results: list[CommentStats | None] = [None] * len(texts)
+        if cache is None or not texts:
+            return self.comment_columns(texts)
+        rows: dict[str, tuple] = {}
         misses: dict[str, None] = {}
-        for i, text in enumerate(texts):
+        for text in texts:
             if text in misses:
                 continue
-            cached = cache.get(text) if cache is not None else None
-            if cached is None:
+            row = cache.get(text)
+            if row is None:
                 misses[text] = None
             else:
-                results[i] = cached
-        if not misses:
-            return results  # type: ignore[return-value]
-        batch = self.comment_columns(list(misses))
-        fresh = dict(zip(misses, stats_from_columns(batch, interner)))
-        if cache is not None:
-            for text, stats in fresh.items():
-                cache.put(text, stats)
-        return [
-            fresh[text] if stats is None else stats
-            for text, stats in zip(texts, results)
-        ]
+                rows[text] = row
+        if misses:
+            batch = self.comment_columns(list(misses))
+            for text, row in zip(misses, _rows(batch)):
+                cache.put(text, row)
+                rows[text] = row
+            if len(misses) == len(texts):
+                return batch
+        return _stack([rows[text] for text in texts])
 
     # -- batches -----------------------------------------------------------
 

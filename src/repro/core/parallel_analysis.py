@@ -23,10 +23,11 @@ This module parallelizes around that state instead:
    (``base_vocab`` ids agree by construction) and grows independently;
 3. each worker runs the extractor's chunk kernel
    (:meth:`~repro.core.features.FeatureExtractor.comment_columns`) and
-   returns an :class:`AnalysisShard`: the kernel's columnar payload
-   (local-id ``int32`` token arena + offsets + the nine stat columns)
-   plus the worker vocabulary grown beyond the base and the worker's
-   segmentation count;
+   returns an :class:`AnalysisShard`: the kernel's
+   :class:`~repro.core.features.CommentColumns` (local-id ``int32``
+   token arena + offsets + the nine stat columns) plus the worker
+   vocabulary grown beyond the base and the worker's segmentation
+   count;
 4. the parent merges shards **in chunk order**:
    :func:`~repro.core.interning.merge_interners` adopts each shard's
    new words first-seen-chunk-first (reproducing the serial run's id
@@ -40,8 +41,7 @@ and chunk size: same feature matrix, same interner snapshot, same
 per-item coverage.  Segmentation counts are merged back into the
 parent analyzer so ``/stats`` gauges and the zero-resegmentation
 assertions stay truthful on any number of CPUs.  Like the serial batch
-path, the workers build no per-comment objects and never touch the
-analysis cache.
+path, the workers never touch the analysis cache.
 
 The executor decides the worker count (``min(usable CPUs, chunks)``,
 see :mod:`repro.parallel`); nothing here takes one.
@@ -65,6 +65,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import parallel
+from repro.core.features import (
+    STAT_COLUMN_DTYPES,
+    CommentColumns,
+    _BatchComment,
+)
 from repro.core.interning import merge_interners, remap_ids
 
 #: Engine activity counters (process-wide).  ``serial_fallbacks`` counts
@@ -76,6 +81,7 @@ ENGINE_STATS = {"parallel_runs": 0, "serial_fallbacks": 0}
 DEFAULT_CHUNK_SIZE = 8192
 
 
+
 class ParallelAnalysisError(RuntimeError):
     """A worker died mid-run; no partial results were committed."""
 
@@ -84,12 +90,8 @@ class ParallelAnalysisError(RuntimeError):
 class AnalysisShard:
     """One chunk's analysis output in worker-local id space."""
 
-    #: Interned token arena, worker-local ``int32`` ids, back to back.
-    tokens: np.ndarray
-    #: Arena offsets, length ``n_comments + 1`` (``offsets[0] == 0``).
-    offsets: np.ndarray
-    #: One array per :data:`~repro.core.columnar.STAT_COLUMN_NAMES`.
-    columns: dict[str, np.ndarray]
+    #: The chunk kernel's columns; token ids are worker-local.
+    batch: CommentColumns
     #: Words the worker interned beyond its cloned base, local-id order.
     #: Cumulative across the worker's earlier chunks -- the shard's LUT
     #: must cover every id its arena can reference.
@@ -98,10 +100,6 @@ class AnalysisShard:
     base_vocab: int
     #: Segmentations this chunk cost the worker.
     n_segmentations: int
-
-    @property
-    def n_comments(self) -> int:
-        return len(self.offsets) - 1
 
 
 # -- worker side -------------------------------------------------------------
@@ -133,12 +131,10 @@ def _analyze_chunk_in_state(state: dict, texts: Sequence[str]) -> AnalysisShard:
     extractor = state["extractor"]
     analyzer = extractor.analyzer
     seg_before = analyzer.n_segmentations
-    tokens, offsets, columns = extractor.comment_columns(texts)
+    batch = extractor.comment_columns(texts)
     base = state["base_vocab"]
     return AnalysisShard(
-        tokens=tokens,
-        offsets=offsets,
-        columns=columns,
+        batch=batch,
         new_words=analyzer.interner.words_from(base),
         base_vocab=base,
         n_segmentations=analyzer.n_segmentations - seg_before,
@@ -201,7 +197,7 @@ def _run_shards(
 
 
 def _merge_shard(extractor, shard: AnalysisShard) -> np.ndarray:
-    """Adopt one shard's vocabulary and return its remapped arena.
+    """Adopt one shard's vocabulary and return its remapped token arena.
 
     Also folds the shard's segmentation count into the parent analyzer.
     """
@@ -210,8 +206,8 @@ def _merge_shard(extractor, shard: AnalysisShard) -> np.ndarray:
     extractor.analyzer.merge_counters(shard.n_segmentations)
     if not shard.new_words and len(interner) == shard.base_vocab:
         # Identity LUT: nothing grew anywhere yet, local ids == merged.
-        return shard.tokens
-    return remap_ids(shard.tokens, lut)
+        return shard.batch.tokens
+    return remap_ids(shard.batch.tokens, lut)
 
 
 def analyze_many(
@@ -254,8 +250,8 @@ def analyze_many(
             item_ids=[int(r.item_id) for r in chunk],
             comment_ids=[int(r.comment_id) for r in chunk],
             tokens=tokens,
-            offsets=shard.offsets,
-            columns=shard.columns,
+            offsets=shard.batch.offsets,
+            columns=shard.batch.columns,
         )
         appended += len(chunk)
     return appended
@@ -266,41 +262,28 @@ def analyze_stats_many(
     texts: Sequence[str],
     *,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> list:
+) -> CommentColumns:
     """Parallel equivalent of :meth:`FeatureExtractor.comment_stats_many`.
 
     No production path calls it: ``comment_stats_many`` serves small
     streaming batches serially.  It stays while the benchmark's tracer
-    (``perfbench/spans.py``) wraps it by name.  Analyzes *texts* in
-    :func:`analyze_many`'s chunks on the executor's workers (a batch of
-    one chunk runs inline), merges vocabularies deterministically, and
-    rebuilds per-comment
-    :class:`~repro.core.features.CommentStats` in the parent with
-    :func:`~repro.core.features.stats_from_columns` -- field-for-field
-    equal to the serial objects, with ``token_ids`` already in the
-    merged (parent) id space.  Duplicate texts share one stats object,
-    and the parent cache is populated with the rebuilt entries,
-    matching the serial path's behaviour.
+    (``perfbench/spans.py``) wraps it by name.  Runs :func:`analyze_many`
+    over *texts* into a scratch in-memory store and returns the store's
+    columns: one row per text, in input order, equal to the serial
+    batch with token ids in the merged (parent) id space.  Like
+    :func:`analyze_many` it reads and writes no analysis cache.
     """
-    from repro.core.features import CommentColumns, stats_from_columns
+    from repro.core.columnar import ColumnarCommentStore
 
-    bounds = _chunk_bounds(len(texts), chunk_size)
-    text_chunks = [texts[start:end] for start, end in bounds]
-    shards = _run_shards(extractor, text_chunks)
-    interner = extractor._interner()
-    cache = extractor._cache
-    results: list = []
-    by_text: dict[str, object] = {}
-    for (start, end), shard in zip(bounds, shards):
-        batch = CommentColumns(
-            _merge_shard(extractor, shard), shard.offsets, shard.columns
-        )
-        for text, stats in zip(
-            texts[start:end], stats_from_columns(batch, interner)
-        ):
-            if text not in by_text:
-                by_text[text] = stats
-                if cache is not None:
-                    cache.put(text, stats)
-            results.append(by_text[text])
-    return results
+    store = ColumnarCommentStore(extractor._interner())
+    analyze_many(
+        store,
+        extractor,
+        [_BatchComment(0, i, text) for i, text in enumerate(texts)],
+        chunk_size=chunk_size,
+    )
+    return CommentColumns(
+        store.tokens(),
+        store.offsets(),
+        {name: store.column(name) for name in STAT_COLUMN_DTYPES},
+    )

@@ -40,8 +40,9 @@ import hashlib
 import json
 import os
 import tempfile
+from collections.abc import Callable
 from pathlib import Path
-from typing import Any
+from typing import IO, Any
 
 import numpy as np
 
@@ -141,8 +142,26 @@ def read_manifest(directory: str | Path) -> dict[str, Any]:
 # -- atomic file primitives ----------------------------------------------
 
 
-def _replace_into_place(tmp_path: str, path: Path) -> None:
+def _write_atomic(
+    path: Path, mode: str, write: Callable[[IO[Any]], object]
+) -> None:
+    """Durably replace *path* with what *write* puts in a file handle.
+
+    The one write-temp-then-rename sequence: *write* fills a temp file
+    in *path*'s directory (opened with *mode*, text as UTF-8), which is
+    flushed, fsynced and renamed over *path*.  A failure at any step
+    removes the temp file and re-raises, so readers see the previous
+    complete file or the new one, never a torn one.
+    """
+    fd, tmp_path = tempfile.mkstemp(
+        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+    )
     try:
+        encoding = None if "b" in mode else "utf-8"
+        with os.fdopen(fd, mode, encoding=encoding) as handle:
+            write(handle)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -156,37 +175,15 @@ def write_json_atomic(
     path: str | Path, obj: Any, *, indent: int | None = None
 ) -> None:
     """Durably write *obj* as JSON to *path* (write-temp-then-rename)."""
-    path = Path(path)
     payload = json.dumps(obj, ensure_ascii=False, indent=indent)
-    fd, tmp_path = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-    except BaseException:
-        os.unlink(tmp_path)
-        raise
-    _replace_into_place(tmp_path, path)
+    _write_atomic(Path(path), "w", lambda handle: handle.write(payload))
 
 
 def write_npz_atomic(path: str | Path, **arrays: np.ndarray) -> None:
     """Durably write *arrays* as a compressed npz to *path*."""
-    path = Path(path)
-    fd, tmp_path = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+    _write_atomic(
+        Path(path), "wb", lambda handle: np.savez_compressed(handle, **arrays)
     )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
-            handle.flush()
-            os.fsync(handle.fileno())
-    except BaseException:
-        os.unlink(tmp_path)
-        raise
-    _replace_into_place(tmp_path, path)
 
 
 def write_npy_atomic(path: str | Path, array: np.ndarray) -> None:
@@ -197,19 +194,11 @@ def write_npy_atomic(path: str | Path, array: np.ndarray) -> None:
     store (:mod:`repro.core.columnar`) needs for restart rehydration
     without paging whole columns into memory.
     """
-    path = Path(path)
-    fd, tmp_path = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+    _write_atomic(
+        Path(path),
+        "wb",
+        lambda handle: np.save(handle, array, allow_pickle=False),
     )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.save(handle, array, allow_pickle=False)
-            handle.flush()
-            os.fsync(handle.fileno())
-    except BaseException:
-        os.unlink(tmp_path)
-        raise
-    _replace_into_place(tmp_path, path)
 
 
 def write_jsonl_atomic(path: str | Path, rows: Any) -> None:
@@ -221,21 +210,13 @@ def write_jsonl_atomic(path: str | Path, rows: Any) -> None:
     :class:`~repro.collector.storage.DatasetStore` and any other
     line-oriented dataset writers.
     """
-    path = Path(path)
-    fd, tmp_path = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            for row in rows:
-                handle.write(json.dumps(row, ensure_ascii=False))
-                handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-    except BaseException:
-        os.unlink(tmp_path)
-        raise
-    _replace_into_place(tmp_path, path)
+
+    def write(handle: IO[str]) -> None:
+        for row in rows:
+            handle.write(json.dumps(row, ensure_ascii=False))
+            handle.write("\n")
+
+    _write_atomic(Path(path), "w", write)
 
 
 def _config_to_dict(config: CATSConfig) -> dict[str, Any]:

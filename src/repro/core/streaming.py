@@ -22,12 +22,14 @@ trigger a report.
 Incremental feature accumulation
 --------------------------------
 
-Each :class:`_ItemState` owns an
-:class:`~repro.core.features.ItemAccumulator` holding the running sums
-behind the item's Table II feature vector.  On rescore, only comments
-that arrived since the last scoring go through segmentation and
-sentiment (via :meth:`FeatureExtractor.comment_stats_many`), and the
-due items' rows come from their sums in one
+Each :class:`_ItemState` holds the running sums behind the item's
+Table II feature vector: its word total and one sum per
+:data:`~repro.core.features.SUMMED_COLUMNS` entry, plus the set of its
+distinct words.  On rescore, only comments that arrived since the last
+scoring are analyzed -- one
+:meth:`FeatureExtractor.comment_stats_many` call, whose
+:class:`~repro.core.features.CommentColumns` rows each due item folds
+into its sums -- and the due items' rows come from their sums in one
 :func:`~repro.core.features.table2_rows` call.  Each comment is analyzed
 exactly once, however often its item is rescored: O(n) over an item's
 lifetime instead of O(n^2).
@@ -63,29 +65,33 @@ long-running detector (they back the serving layer in
   evicted item that reappears rebuilds its evidence from scratch but
   can never alert twice.
 * **State export/restore** -- :meth:`export_state` captures every
-  buffered record, accumulator sum and alert as a plain-Python
-  structure; :meth:`restore_state` rebuilds a detector whose subsequent
-  behaviour is bit-identical to one that never stopped.  The serving
-  checkpoint layer (:mod:`repro.serving.checkpoint`) writes this
-  structure as one JSON file; Python floats round-trip through JSON
-  exactly, so no binary side file is needed.
+  buffered record, running sum, distinct-word set and alert as a
+  plain-Python structure; :meth:`restore_state` rebuilds a detector
+  whose subsequent behaviour is bit-identical to one that never
+  stopped.  The serving checkpoint layer (:mod:`repro.serving.checkpoint`)
+  writes this structure as one JSON file; Python floats round-trip
+  through JSON exactly, so no binary side file is needed.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.collector.records import CommentRecord
-from repro.core.features import ItemAccumulator, table2_rows
+from repro.core.features import SUMMED_COLUMNS, table2_rows
 from repro.core.system import CATS
 
 #: Version tag for :meth:`StreamingDetector.export_state` payloads.
-STATE_VERSION = 1
+STATE_VERSION = 2
+
+#: Running sums one item keeps: its word total, then one per
+#: :data:`~repro.core.features.SUMMED_COLUMNS` entry.
+_N_SUMS = 1 + len(SUMMED_COLUMNS)
 
 
 def shard_of(item_id: int, n_shards: int) -> int:
@@ -158,13 +164,23 @@ class _ItemState:
     #: frozen dataclasses, so the set holds the buffered records
     #: themselves -- no extra copies.
     seen: set[CommentRecord] = field(default_factory=set)
-    #: Running Table II sums over ``comments[:n_accumulated]``.
-    accumulator: ItemAccumulator = field(default_factory=ItemAccumulator)
-    #: How many buffered comments are already folded into the
-    #: accumulator; the suffix beyond it is unseen by feature code.
+    #: How many buffered comments are already folded into ``sums`` and
+    #: ``words``; the suffix beyond it is unseen by feature code.
     n_accumulated: int = 0
+    #: Running sums over ``comments[:n_accumulated]``, each added left
+    #: to right from 0.0 in buffer order (see :data:`_N_SUMS`).
+    sums: list[float] = field(default_factory=lambda: [0.0] * _N_SUMS)
+    #: Distinct words of ``comments[:n_accumulated]``.
+    words: set[str] = field(default_factory=set)
     last_scored_size: int = 0
     last_probability: float = 0.0
+
+    def table2_sums(self) -> list[float]:
+        """This item's row of :func:`~repro.core.features.table2_rows`
+        input: comment count, word total, distinct words, column sums."""
+        return [
+            self.n_accumulated, self.sums[0], len(self.words), *self.sums[1:]
+        ]
 
 
 #: Comment-record fields, in order.  Every one is an int or a str, so
@@ -196,12 +212,12 @@ class StreamingDetector:
         Optional :class:`~repro.core.columnar.ColumnarCommentStore`
         sharing the analyzer's interner.  Every comment analysis the
         detector performs is appended to it (exactly once, at the
-        moment the comment is folded into its item's accumulator), so
+        moment the comment is folded into its item's sums), so
         the store accumulates the full analyzed history as flat arrays
         for offline work (feature matrices for retraining).  The
         serving layer saves it before each checkpoint; a restart
-        restores accumulators from the checkpoint and never reads the
-        store's rows.
+        restores the running sums from the checkpoint and never reads
+        the store's rows.
     """
 
     def __init__(
@@ -343,11 +359,12 @@ class StreamingDetector:
         The one scoring path.  Every unanalyzed buffer suffix goes
         through one ``comment_stats_many`` call (one batched sentiment
         call; duplicates across items resolve in the shared cache), each
-        item folds its own slice in buffer order -- bit-identical to
-        folding item by item -- and the store receives the batch in one
-        append.  Rule-passing rows share one ``predict_proba`` call;
-        results commit in order, each alert triggered by its item's last
-        buffered comment.
+        item folds its own rows into its sums in buffer order, one
+        comment at a time -- bit-identical to folding item by item and
+        to the store's ``feature_matrix`` -- and the store receives the
+        same columns in one append.  Rule-passing rows share one
+        ``predict_proba`` call; results commit in order, each alert
+        triggered by its item's last buffered comment.
         """
         records: list[CommentRecord] = []
         spans: list[tuple[int, int]] = []
@@ -356,16 +373,35 @@ class StreamingDetector:
             records.extend(state.comments[state.n_accumulated :])
             spans.append((start, len(records)))
         if records:
-            stats_list = self.cats.feature_extractor.comment_stats_many(
+            extractor = self.cats.feature_extractor
+            batch = extractor.comment_stats_many(
                 [comment.content for comment in records]
             )
+            words = extractor.analyzer.interner.decode(batch.tokens.tolist())
+            bounds = batch.offsets.tolist()
+            values = np.column_stack(
+                [
+                    np.diff(batch.offsets),
+                    *(batch.columns[name] for name in SUMMED_COLUMNS),
+                ]
+            ).tolist()
             for (_, state), (start, end) in zip(due, spans):
-                state.accumulator.add_many(stats_list[start:end])
+                sums = state.sums
+                for row in values[start:end]:
+                    sums = [total + value for total, value in zip(sums, row)]
+                state.sums = sums
+                state.words.update(words[bounds[start] : bounds[end]])
                 state.n_accumulated += end - start
             if self.columnar_store is not None:
-                self.columnar_store.append(records, stats_list)
+                self.columnar_store.append_arrays(
+                    [comment.item_id for comment in records],
+                    [comment.comment_id for comment in records],
+                    batch.tokens,
+                    batch.offsets,
+                    batch.columns,
+                )
 
-        sums = [state.accumulator.sums() for _, state in due]
+        sums = [state.table2_sums() for _, state in due]
         rows = table2_rows(np.array(sums, dtype=np.float64))
         if self.feature_observer is not None:
             self.feature_observer(rows)
@@ -486,12 +522,10 @@ class StreamingDetector:
                         for c in state.comments
                     ],
                     "n_accumulated": state.n_accumulated,
+                    "sums": list(state.sums),
+                    "words": sorted(state.words),
                     "last_scored_size": state.last_scored_size,
                     "last_probability": state.last_probability,
-                    "accumulator": dict(
-                        vars(state.accumulator),
-                        word_counts=dict(state.accumulator.word_counts),
-                    ),
                 }
             )
         state = {
@@ -591,15 +625,19 @@ class StreamingDetector:
         self._items = OrderedDict()
         for entry in data["items"]:
             comments = [CommentRecord(**c) for c in entry["comments"]]
-            sums = entry["accumulator"]
+            sums = [float(total) for total in entry["sums"]]
+            if len(sums) != _N_SUMS:
+                raise ValueError(
+                    f"item {entry['item_id']} carries {len(sums)} running "
+                    f"sums, expected {_N_SUMS}"
+                )
             state = _ItemState(
                 sales_volume=int(entry["sales_volume"]),
                 comments=comments,
                 seen=set(comments),
-                accumulator=ItemAccumulator(
-                    **dict(sums, word_counts=Counter(sums["word_counts"]))
-                ),
                 n_accumulated=int(entry["n_accumulated"]),
+                sums=sums,
+                words=set(entry["words"]),
                 last_scored_size=int(entry["last_scored_size"]),
                 last_probability=float(entry["last_probability"]),
             )

@@ -8,7 +8,7 @@ run on the service's single scheduler thread) -- while guaranteeing the
 champion's outputs are untouched:
 
 * the challenger gets its **own** :class:`StreamingDetector`, so its
-  accumulators, rescore cadence and alert ledger are fully isolated;
+  running sums, rescore cadence and alert ledger are fully isolated;
   its alerts stay inside the shadow and are only *counted*;
 * when the challenger's analyzer is bit-identical to the champion's
   (same in-memory object, or equal ``analyzer_hash`` in both archive

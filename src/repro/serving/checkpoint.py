@@ -18,11 +18,13 @@ Each checkpoint is one directory under the manager's root::
 
 JSON alone is exact: integers and text round-trip verbatim, and
 ``json`` writes every float with ``repr``, the shortest decimal string
-that parses back to the same double, so the float accumulator sums and
+that parses back to the same double, so the items' running sums and
 last-scored probabilities (``-0.0`` and subnormals included) restore
-bit for bit.  A directory of any other ``checkpoint_version`` -- such as
-version 1, which split the float sums into a ``.npz`` beside the JSON --
-is refused with :class:`CheckpointError`.
+bit for bit.  Each item stores its sums as one list and its distinct
+words sorted.  A directory of any other ``checkpoint_version`` is
+refused with :class:`CheckpointError`: version 1 split the float sums
+into a ``.npz`` beside the JSON, and version 2 stored a per-field
+accumulator dict with a word-to-count map per item.
 
 Crash safety
 ------------
@@ -46,7 +48,7 @@ from pathlib import Path
 from repro.core.persistence import write_json_atomic
 
 #: Checkpoint directory format version.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _PREFIX = "ckpt-"
 

@@ -88,8 +88,9 @@ def parse_sales_row(row: Any) -> tuple[int, int]:
     """Validate one ``[item_id, volume]`` sales row.
 
     Rejects rows of the wrong shape (``[1]``, ``7``, ``null``) and
-    non-coercible values (``[null, 5]``) with :class:`ValueError`, so
-    the front end maps them to a 400 instead of crashing mid-request.
+    non-coercible values (``[null, 5]``, ``[1e400, 5]``, which JSON
+    reads as infinity) with :class:`ValueError`, so the front end maps
+    them to a 400 instead of crashing mid-request.
     """
     if isinstance(row, (str, bytes)) or not hasattr(row, "__iter__"):
         raise ValueError(
@@ -98,7 +99,7 @@ def parse_sales_row(row: Any) -> tuple[int, int]:
     try:
         item_id, volume = row
         return int(item_id), int(volume)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(
             f"sales row must be [item_id, volume], got {row!r}"
         ) from exc
@@ -129,7 +130,7 @@ def parse_score_body(body: Any) -> list[int]:
         raise ValueError(f'"item_ids" must be a list, got {value!r}')
     try:
         return [int(item_id) for item_id in value]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"item ids must be integers: {exc}") from exc
 
 

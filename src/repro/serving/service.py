@@ -9,7 +9,7 @@ scoring service:
   touched from that thread, so it needs no internal locking);
 * one mutation request, :meth:`DetectionService.feed` (comments plus
   sales updates, applied atomically), is fed through the incremental
-  accumulator path -- semantics are identical to calling
+  running-sum path -- semantics are identical to calling
   ``update_sales`` and then ``observe`` per record, whatever the batch
   boundaries;
 * score requests across a batch are merged into **one** vectorized
@@ -208,7 +208,7 @@ class DetectionService:
         The checkpoint was written only after the store committed (the
         store saves first), so an attached store holding *fewer*
         comments than the stamp records means analyses the restored
-        accumulators depend on are missing from the arena -- rescoring
+        running sums depend on are missing from the arena -- rescoring
         history or serving the store would silently lie.  Unstamped
         checkpoints (pre-columnar) and stampless restores (no store
         attached) pass unchecked.

@@ -1,10 +1,13 @@
-"""Tests for the incremental feature accumulators (repro.core.features).
+"""Tests for the incremental feature fold.
 
-The load-bearing invariant: folding comments through an
-:class:`ItemAccumulator` in order produces a vector *exactly* equal
-(bit-identical, not approximately) to batch ``FeatureExtractor.extract``
-over the same list.  The streaming detector's claim that incremental
-scores equal batch scores rests on it.
+The load-bearing invariant: folding comments' analyzed rows
+(:class:`~repro.core.features.CommentColumns`) into an item's running
+sums in order, as :class:`~repro.core.streaming.StreamingDetector`
+does, produces a vector *exactly* equal (bit-identical, not
+approximately) to batch ``FeatureExtractor.extract`` over the same
+list.  The streaming detector's claim that incremental scores equal
+batch scores rests on it.  The Table II formulas are checked against
+Python arithmetic on the reference fold in ``tests/oracles/features.py``.
 """
 
 import numpy as np
@@ -13,20 +16,20 @@ from hypothesis import given, settings, strategies as st
 
 from collections import Counter
 
+from repro.collector.records import CommentRecord
 from repro.core.features import (
     FEATURE_NAMES,
     N_FEATURES,
     SUMMED_COLUMNS,
-    FeatureExtractor,
-    ItemAccumulator,
     table2_rows,
 )
-from tests.oracles.features import table2_vector_scalar
+from repro.core.streaming import StreamingDetector
+from tests.oracles.features import ItemAccumulator, table2_vector_scalar
 
 
 @pytest.fixture(scope="module")
-def extractor(analyzer):
-    return FeatureExtractor(analyzer)
+def extractor(trained_cats):
+    return trained_cats.feature_extractor
 
 
 @pytest.fixture(scope="module")
@@ -48,26 +51,52 @@ def comment_lists(alphabet):
     )
 
 
+def streamed_rows(cats, chunks):
+    """Feed one item its comments chunk by chunk; after each chunk,
+    score it -- folding the whole chunk in one batch -- and read its
+    Table II row from the running sums."""
+    stream = StreamingDetector(
+        cats, rescore_growth=1e9, min_comments_to_score=1
+    )
+    rows = []
+    n = 0
+    for chunk in chunks:
+        for text in chunk:
+            stream.observe(
+                CommentRecord(1, n, text, "user", 1, "pc", "2020-01-01")
+            )
+            n += 1
+        if n:
+            stream.force_rescore(1)
+            state = stream._items[1]
+            assert state.n_accumulated == n
+            sums = np.array([state.table2_sums()], dtype=np.float64)
+            rows.append(table2_rows(sums)[0])
+        else:
+            rows.append(np.zeros(N_FEATURES))
+    return rows
+
+
 class TestCommentStats:
-    def test_single_analysis_matches_extract(self, extractor):
+    def test_single_analysis_matches_extract(self, trained_cats, extractor):
         text = "haoping! zan"
-        accumulator = ItemAccumulator()
-        accumulator.add(extractor.comment_stats(text))
-        np.testing.assert_array_equal(
-            accumulator.to_vector(), extractor.extract([text])
-        )
+        [row] = streamed_rows(trained_cats, [[text]])
+        np.testing.assert_array_equal(row, extractor.extract([text]))
 
     def test_bigram_ratio_term_guard(self, extractor):
         # A single-word comment has no bigrams and a zero ratio term.
-        stats = extractor.comment_stats("haoping")
-        assert stats.n_positive_bigrams == 0
-        assert stats.bigram_ratio_term == 0.0
+        batch = extractor.comment_stats("haoping")
+        assert batch.columns["n_positive_bigrams"].tolist() == [0]
+        assert batch.columns["bigram_ratio_term"].tolist() == [0.0]
 
 
 class TestItemAccumulator:
-    def test_empty_is_zero_vector(self):
+    def test_empty_is_zero_vector(self, trained_cats):
         np.testing.assert_array_equal(
             ItemAccumulator().to_vector(), np.zeros(N_FEATURES)
+        )
+        np.testing.assert_array_equal(
+            streamed_rows(trained_cats, [[]])[0], np.zeros(N_FEATURES)
         )
 
 
@@ -121,41 +150,38 @@ class TestOneFormula:
 
 
 class TestIncrementalEqualsBatch:
-    """The PR's acceptance property: exact equality on random inputs."""
+    """The acceptance property: exact equality on random inputs."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_fold_in_order_is_bit_identical(
-        self, data, extractor, comment_alphabet
+        self, data, trained_cats, extractor, comment_alphabet
     ):
         comments = data.draw(comment_lists(comment_alphabet))
-        accumulator = ItemAccumulator()
-        for text in comments:
-            accumulator.add(extractor.comment_stats(text))
-        np.testing.assert_array_equal(
-            accumulator.to_vector(), extractor.extract(comments)
-        )
+        [row] = streamed_rows(trained_cats, [comments])
+        np.testing.assert_array_equal(row, extractor.extract(comments))
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_chunked_folding_with_interleaved_reads(
-        self, data, extractor, comment_alphabet
+        self, data, trained_cats, extractor, comment_alphabet
     ):
-        """Partial to_vector() snapshots neither mutate state nor drift:
-        every prefix vector equals batch extraction of that prefix."""
+        """Reads between folds neither mutate state nor drift: every
+        prefix row equals batch extraction of that prefix."""
         comments = data.draw(comment_lists(comment_alphabet))
-        accumulator = ItemAccumulator()
+        chunks = []
         folded = 0
         while folded < len(comments):
             step = data.draw(
                 st.integers(min_value=1, max_value=len(comments) - folded)
             )
-            for text in comments[folded : folded + step]:
-                accumulator.add(extractor.comment_stats(text))
+            chunks.append(comments[folded : folded + step])
             folded += step
+        prefix = 0
+        for chunk, row in zip(chunks, streamed_rows(trained_cats, chunks)):
+            prefix += len(chunk)
             np.testing.assert_array_equal(
-                accumulator.to_vector(),
-                extractor.extract(comments[:folded]),
+                row, extractor.extract(comments[:prefix])
             )
 
     @settings(max_examples=15, deadline=None)

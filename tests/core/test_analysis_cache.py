@@ -5,6 +5,7 @@ import pytest
 from repro.core.analysis_cache import AnalysisCache, CacheInfo
 from repro.core.features import FeatureExtractor
 from repro.core.lexicon import SentimentLexicon
+from tests.oracles.features import assert_columns_identical, stats_of
 
 
 class TestAnalysisCache:
@@ -78,8 +79,8 @@ class TestExtractorCacheIntegration:
         assert extractor.cache_info() is None
         extractor.clear_cache()  # no-op, must not raise
         text = sorted(analyzer.lexicon.positive)[0]
-        assert extractor.comment_stats(text) == extractor.comment_stats(
-            text
+        assert_columns_identical(
+            extractor.comment_stats(text), extractor.comment_stats(text)
         )
 
     def test_repeat_analysis_hits_cache(self, analyzer):
@@ -87,7 +88,7 @@ class TestExtractorCacheIntegration:
         text = "".join(sorted(analyzer.lexicon.positive)[:3])
         first = extractor.comment_stats(text)
         second = extractor.comment_stats(text)
-        assert first is second
+        assert_columns_identical(second, first)
         info = extractor.cache_info()
         assert info.hits == 1
         assert info.misses >= 1
@@ -132,8 +133,7 @@ class TestExtractorCacheIntegration:
         # Every early text has been evicted by now (cache holds 4).
         assert extractor.cache_info().evictions > 0
         second = extractor.comment_stats_many(texts)
-        for a, b in zip(first, second):
-            assert a == b
+        assert_columns_identical(second, first)
         assert np.array_equal(
             extractor.extract(texts), extractor.extract(texts)
         )
@@ -141,8 +141,10 @@ class TestExtractorCacheIntegration:
     def test_lexicon_replacement_invalidates_cache(self, analyzer):
         extractor = FeatureExtractor(analyzer)
         text = "".join(sorted(analyzer.lexicon.positive)[:3])
+        interner = analyzer.interner
         before = extractor.comment_stats(text)
         assert extractor.cache_info().size == 1
+        misses = extractor.cache_info().misses
         original = analyzer.lexicon
         try:
             # Content-identical but a *different object*: the analyzer
@@ -152,8 +154,12 @@ class TestExtractorCacheIntegration:
                 positive=original.positive, negative=original.negative
             )
             after = extractor.comment_stats(text)
-            assert after is not before
-            assert after == before  # same content -> same stats
+            # Re-analyzed, not served from the dropped entry ...
+            assert extractor.cache_info().misses == misses + 1
+            # ... with the same content -> the same stats.
+            assert stats_of(after, analyzer.interner) == stats_of(
+                before, interner
+            )
             assert extractor.cache_info().size == 1
         finally:
             analyzer.lexicon = original

@@ -2,8 +2,8 @@
 
 The properties that matter:
 
-* **round trip** -- a store built from the extractor's interned stats,
-  saved and memory-mapped back, must produce feature matrices
+* **round trip** -- a store built from the extractor's analyzed
+  columns, saved and memory-mapped back, must produce feature matrices
   bit-identical (``np.array_equal``) to live analysis, for arbitrary
   comment mixes (empty, punctuation-only, OOV-only) and across
   interner-growing appends;
@@ -36,7 +36,7 @@ from repro.core.columnar import (
 from repro.core.features import FeatureExtractor
 from repro.core.interning import TokenInterner
 from tests.oracles.columnar import rehydrate_stats
-from tests.oracles.features import comment_stats_scalar
+from tests.oracles.features import comment_stats_scalar, stats_of
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -193,7 +193,9 @@ class TestRoundTrip:
         store, extractor = build_store(analyzer, items, tmp_path)
         reloaded = ColumnarCommentStore.load(tmp_path)
         rehydrated = rehydrate_stats(reloaded, range(len(texts)))
-        assert rehydrated == extractor.comment_stats_many(texts)
+        assert rehydrated == stats_of(
+            extractor.comment_stats_many(texts), analyzer.interner
+        )
 
     def test_rehydration_skips_resegmentation(
         self, analyzer, words, tmp_path
@@ -221,9 +223,11 @@ class TestGuards:
             analyzer, {1: [words[0]]}, tmp_path
         )
         reloaded = ColumnarCommentStore.load(tmp_path)
-        stats = extractor.comment_stats_many([words[1]])
+        batch = extractor.comment_stats_many([words[1]])
         with pytest.raises(ColumnarStoreError, match="read-only"):
-            reloaded.append([Rec(1, 99, words[1])], stats)
+            reloaded.append_arrays(
+                [1], [99], batch.tokens, batch.offsets, batch.columns
+            )
         with pytest.raises(ColumnarStoreError, match="read-only"):
             reloaded.save(tmp_path)
 
@@ -239,21 +243,27 @@ class TestGuards:
         with pytest.raises(KeyError, match="frozen"):
             frozen.intern("never-seen-before-word")
 
-    def test_scalar_path_stats_rejected(self, analyzer, words):
+    def test_foreign_token_ids_rejected(self, analyzer, words):
+        """Only ids of the store's interner can feed its arena: a batch
+        analyzed under another (smaller) interner is refused."""
         extractor = FeatureExtractor(analyzer, cache_size=0)
-        store = ColumnarCommentStore(analyzer.interner)
-        stats = [comment_stats_scalar(extractor, words[0])]
-        with pytest.raises(ColumnarStoreError, match="token_ids"):
-            store.append([Rec(1, 0, words[0])], stats)
+        batch = extractor.comment_columns([words[0]])
+        store = ColumnarCommentStore(TokenInterner(frozenset(), frozenset()))
+        with pytest.raises(ColumnarStoreError, match="outside"):
+            store.append_arrays(
+                [1], [0], batch.tokens, batch.offsets, batch.columns
+            )
+        assert store.n_comments == 0
 
     def test_length_mismatch_rejected(self, analyzer, words):
         extractor = FeatureExtractor(analyzer, cache_size=0)
         store = ColumnarCommentStore(analyzer.interner)
-        stats = extractor.comment_stats_many([words[0]])
-        with pytest.raises(ColumnarStoreError, match="records"):
-            store.append([Rec(1, 0, words[0]), Rec(1, 1, words[1])], stats)
+        batch = extractor.comment_stats_many([words[0]])
+        payload = (batch.tokens, batch.offsets, batch.columns)
+        with pytest.raises(ColumnarStoreError, match="item ids"):
+            store.append_arrays([1, 1], [0, 1], *payload)
         with pytest.raises(ColumnarStoreError, match="timestamps"):
-            store.append([Rec(1, 0, words[0])], stats, timestamps=[1.0, 2.0])
+            store.append_arrays([1], [0], *payload, timestamps=[1.0, 2.0])
 
     def test_adopt_words_mismatch(self, words):
         interner = TokenInterner(frozenset(), frozenset())
@@ -286,8 +296,10 @@ class TestGuards:
         store = ColumnarCommentStore(
             analyzer.interner, analyzer_hash="aaaaaaaaaaaaaaaa"
         )
-        stats = extractor.comment_stats_many([words[0]])
-        store.append([Rec(1, 0, words[0])], stats)
+        batch = extractor.comment_stats_many([words[0]])
+        store.append_arrays(
+            [1], [0], batch.tokens, batch.offsets, batch.columns
+        )
         store.save(tmp_path)
         with pytest.raises(ColumnarStoreError, match="analyzer"):
             ColumnarCommentStore.load(
@@ -315,58 +327,45 @@ class TestGuards:
 #: mode regenerates the same batches and verifies the committed prefix.
 CRASH_SCRIPT = r"""
 import sys
-from collections import Counter
 
 import numpy as np
 
-from repro.core.columnar import ColumnarCommentStore
-from repro.core.features import CommentStats
+from repro.core.columnar import STAT_COLUMN_NAMES, ColumnarCommentStore
 from repro.core.interning import TokenInterner
 
 BATCH = 32
 MAX_BATCHES = 400
 
 
-class Rec:
-    def __init__(self, item_id, comment_id, content):
-        self.item_id = item_id
-        self.comment_id = comment_id
-        self.content = content
-
-
 def make_batch(index, interner):
     rng = np.random.default_rng(index)
-    records, stats, stamps = [], [], []
+    tokens, lengths, stamps = [], [], []
+    columns = {name: [] for name in STAT_COLUMN_NAMES}
     for j in range(BATCH):
         n = int(rng.integers(0, 6))
-        tokens = [f"w{int(k)}" for k in rng.integers(0, 50, n)]
-        ids = interner.encode(tokens)
-        stats.append(
-            CommentStats(
-                n_words=n,
-                word_counts=Counter(tokens),
-                n_positive_distinct=int(rng.integers(0, 3)),
-                pos_neg_delta=int(rng.integers(0, 3)),
-                sentiment=float(rng.random()),
-                entropy=float(rng.random()),
-                n_punctuation=int(rng.integers(0, 4)),
-                punctuation_ratio=float(rng.random()),
-                n_positive_bigrams=int(rng.integers(0, 3)),
-                bigram_ratio_term=float(rng.random()),
-                token_ids=ids,
+        words = [f"w{int(k)}" for k in rng.integers(0, 50, n)]
+        tokens.extend(interner.encode(words).tolist())
+        lengths.append(n)
+        for name in STAT_COLUMN_NAMES:
+            columns[name].append(
+                float(rng.random())
+                if name in ("sentiment", "entropy", "punctuation_ratio",
+                            "bigram_ratio_term")
+                else int(rng.integers(0, 4))
             )
-        )
-        records.append(Rec(index, index * BATCH + j, "x" * n))
         stamps.append(float(index))
-    return records, stats, stamps
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    item_ids = [index] * BATCH
+    comment_ids = [index * BATCH + j for j in range(BATCH)]
+    return item_ids, comment_ids, tokens, offsets, columns, stamps
 
 
 def run(directory):
     interner = TokenInterner(frozenset(["w0"]), frozenset(["w1"]))
     store = ColumnarCommentStore(interner)
     for index in range(MAX_BATCHES):
-        records, stats, stamps = make_batch(index, interner)
-        store.append(records, stats, timestamps=stamps)
+        *batch, stamps = make_batch(index, interner)
+        store.append_arrays(*batch, timestamps=stamps)
         generation = store.save(directory)
         print(f"gen {generation}", flush=True)
 
@@ -381,14 +380,15 @@ def check(directory):
         "item_id", "comment_id", "n_chars", "sentiment", "timestamp"
     )}
     for index in range(n // BATCH):
-        records, stats, stamps = make_batch(index, reference)
-        for record, stat, stamp in zip(records, stats, stamps):
-            tokens.extend(stat.token_ids.tolist())
-            columns["item_id"].append(record.item_id)
-            columns["comment_id"].append(record.comment_id)
-            columns["n_chars"].append(len(record.content))
-            columns["sentiment"].append(stat.sentiment)
-            columns["timestamp"].append(stamp)
+        item_ids, comment_ids, batch_tokens, _, stats, stamps = make_batch(
+            index, reference
+        )
+        tokens.extend(batch_tokens)
+        columns["item_id"].extend(item_ids)
+        columns["comment_id"].extend(comment_ids)
+        columns["n_chars"].extend(stats["n_chars"])
+        columns["sentiment"].extend(stats["sentiment"])
+        columns["timestamp"].extend(stamps)
     assert loaded.tokens().tolist() == tokens
     for name, expected in columns.items():
         assert loaded.column(name).tolist() == expected, name

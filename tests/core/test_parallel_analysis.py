@@ -42,6 +42,7 @@ from repro.core.parallel_analysis import (
     analyze_many,
     analyze_stats_many,
 )
+from tests.oracles.features import assert_columns_identical
 from tests.pools import PARITY_CPUS, executor, on_cpus, simulated_pool
 
 #: Non-timestamp columns that must match bit for bit between serial and
@@ -307,12 +308,12 @@ class TestBatchPathSkipsObjectsAndCache:
     def test_append_builds_no_stats_and_never_touches_the_cache(
         self, spec, words, monkeypatch, n_cpus
     ):
-        from repro.core import features
-
         def forbidden(*args, **kwargs):
-            raise AssertionError("the batch path built CommentStats")
+            raise AssertionError("the batch path took the cached path")
 
-        monkeypatch.setattr(features, "stats_from_columns", forbidden)
+        monkeypatch.setattr(
+            FeatureExtractor, "comment_stats_many", forbidden
+        )
         records = make_records([words[0], words[1] * 2, words[0]] * 3)
         _, extractor, store = fresh(spec)
         with simulated_pool(n_cpus):
@@ -323,24 +324,20 @@ class TestBatchPathSkipsObjectsAndCache:
 
 
 class TestStatsMany:
-    def test_equal_to_serial_and_caches(self, spec, words, oov):
+    def test_equal_to_serial(self, spec, words, oov):
+        """The parallel batch equals the serial one, dtypes and token
+        ids (merged into the parent's id space) included, and leaves
+        the analysis cache alone, as the other batch paths do."""
         texts = [words[0] + words[1], "", oov * 4, words[2] * 3] * 3
         _, serial_extractor, _ = fresh(spec)
         serial = serial_extractor.comment_stats_many(texts)
         _, extractor, _ = fresh(spec)
         with simulated_pool(3):
             rebuilt = analyze_stats_many(extractor, texts, chunk_size=3)
-        assert len(rebuilt) == len(serial)
-        for left, right in zip(serial, rebuilt):
-            assert left == right
-            assert np.array_equal(left.token_ids, right.token_ids)
-        # Duplicates share one rebuilt object, and the parent cache now
-        # serves them without re-analysis.
-        assert rebuilt[0] is rebuilt[4]
-        hits_before = extractor.cache_info().hits
-        again = extractor.comment_stats_many(texts)
-        assert again[0] is rebuilt[0]
-        assert extractor.cache_info().hits > hits_before
+        assert len(rebuilt) == len(texts)
+        assert_columns_identical(rebuilt, serial)
+        info = extractor.cache_info()
+        assert (info.hits, info.misses, info.size) == (0, 0, 0)
 
     def test_one_chunk_batch_runs_inline(self, spec, words, monkeypatch):
         def boom(*args, **kwargs):
@@ -352,7 +349,9 @@ class TestStatsMany:
         serial = serial_extractor.comment_stats_many(texts)
         _, extractor, _ = fresh(spec)
         with on_cpus(8):
-            assert analyze_stats_many(extractor, texts) == serial
+            assert_columns_identical(
+                analyze_stats_many(extractor, texts), serial
+            )
 
     def test_interner_grows_identically(self, spec, oov):
         texts = [oov * k for k in range(2, 10)]

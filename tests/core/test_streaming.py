@@ -9,6 +9,7 @@ import pytest
 from repro.analysis.adapters import comment_records_for_item
 from repro.collector.records import CommentRecord
 from repro.core.streaming import StreamingDetector
+from tests.oracles.features import streamed_vector
 
 
 def make_records(texts, item_id=1):
@@ -225,9 +226,8 @@ class TestRescorePolicy:
         )
         stream = StreamingDetector(trained_cats, rescore_growth=1.0)
         stream.observe_many(records_for(taobao_platform, item))
-        state = stream._items[item.item_id]
         np.testing.assert_array_equal(
-            state.accumulator.to_vector(),
+            streamed_vector(stream, item.item_id),
             trained_cats.feature_extractor.extract(item.comment_texts),
         )
 
@@ -336,12 +336,12 @@ class TestDedupe:
         )
         records = records_for(taobao_platform, item)
         stream.observe_many(records)
-        before = stream._items[item.item_id].accumulator.to_vector().copy()
+        before = streamed_vector(stream, item.item_id)
         stream.observe_many(records)  # crawler re-delivers the same page
         state = stream._items[item.item_id]
         assert len(state.comments) == len(records)
         np.testing.assert_array_equal(
-            state.accumulator.to_vector(), before
+            streamed_vector(stream, item.item_id), before
         )
 
     def test_observed_and_duplicate_counters(self, stream, taobao_platform):

@@ -4,8 +4,8 @@ reference.
 The chunk kernel (``FeatureExtractor.comment_columns``, with batched NB
 sentiment) must produce *exactly* the values of the original
 string-based implementation, which is kept as
-``tests.oracles.features.comment_stats_scalar`` -- both as the objects
-``comment_stats_many`` builds from its columns and as the rows
+``tests.oracles.features.comment_stats_scalar`` -- both as the rows
+``comment_stats_many`` returns (cached or fresh) and as the rows
 ``append_comments`` stores, serially and on the parallel engine.  Every
 comparison here is ``==`` / ``np.array_equal`` -- no tolerances.
 """
@@ -18,9 +18,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.analyzer import SemanticAnalyzer
 from repro.core.columnar import ColumnarCommentStore, append_comments
-from repro.core.features import FeatureExtractor, ItemAccumulator
+from repro.core.features import FeatureExtractor
 from repro.core.parallel_analysis import analyze_many
-from tests.oracles.features import comment_stats_scalar
+from tests.oracles.features import (
+    ItemAccumulator,
+    assert_columns_identical,
+    comment_stats_scalar,
+    stats_of,
+)
 from tests.pools import executor
 
 #: Distinct-word counts around the points where numpy's pairwise sum
@@ -43,8 +48,23 @@ def words(language) -> list[str]:
     return sorted(language.dictionary_weights())[:80]
 
 
+def analyzed(extractor, text):
+    """``comment_stats(text)``'s one row as a reference record."""
+    [stats] = stats_of(
+        extractor.comment_stats(text), extractor.analyzer.interner
+    )
+    return stats
+
+
+def analyzed_many(extractor, texts):
+    """``comment_stats_many(texts)``'s rows as reference records."""
+    batch = extractor.comment_stats_many(texts)
+    assert len(batch) == len(texts)
+    return stats_of(batch, extractor.analyzer.interner)
+
+
 def assert_stats_equal(actual, expected):
-    """Field-exact CommentStats comparison with readable failures."""
+    """Field-exact reference-record comparison, readable failures."""
     assert actual.n_words == expected.n_words
     assert actual.word_counts == expected.word_counts
     assert actual.n_positive_distinct == expected.n_positive_distinct
@@ -71,7 +91,7 @@ class TestCommentStatsBitIdentity:
         text = "".join(pieces)
         extractor = FeatureExtractor(analyzer, cache_size=0)
         assert_stats_equal(
-            extractor.comment_stats(text),
+            analyzed(extractor, text),
             comment_stats_scalar(extractor, text),
         )
 
@@ -89,21 +109,21 @@ class TestCommentStatsBitIdentity:
         text = "".join(pieces)
         extractor = FeatureExtractor(analyzer, cache_size=0)
         assert_stats_equal(
-            extractor.comment_stats(text),
+            analyzed(extractor, text),
             comment_stats_scalar(extractor, text),
         )
 
     def test_empty_comment(self, analyzer):
         extractor = FeatureExtractor(analyzer, cache_size=0)
         assert_stats_equal(
-            extractor.comment_stats(""),
+            analyzed(extractor, ""),
             comment_stats_scalar(extractor, ""),
         )
 
     def test_punctuation_only_comment(self, analyzer):
         extractor = FeatureExtractor(analyzer, cache_size=0)
         assert_stats_equal(
-            extractor.comment_stats(",.!?"),
+            analyzed(extractor, ",.!?"),
             comment_stats_scalar(extractor, ",.!?"),
         )
 
@@ -111,13 +131,13 @@ class TestCommentStatsBitIdentity:
         text = _oov_char(language) * 3
         extractor = FeatureExtractor(analyzer, cache_size=0)
         assert_stats_equal(
-            extractor.comment_stats(text),
+            analyzed(extractor, text),
             comment_stats_scalar(extractor, text),
         )
 
     def test_single_word_comment(self, analyzer, words):
         extractor = FeatureExtractor(analyzer, cache_size=0)
-        stats = extractor.comment_stats(words[0])
+        stats = analyzed(extractor, words[0])
         assert_stats_equal(
             stats, comment_stats_scalar(extractor, words[0])
         )
@@ -130,7 +150,7 @@ class TestCommentStatsBitIdentity:
         positive = sorted(analyzer.lexicon.positive)[:4]
         text = "".join(positive) * 2
         extractor = FeatureExtractor(analyzer, cache_size=0)
-        stats = extractor.comment_stats(text)
+        stats = analyzed(extractor, text)
         assert_stats_equal(stats, comment_stats_scalar(extractor, text))
         assert stats.n_positive_distinct > 0
 
@@ -149,17 +169,28 @@ class TestBatchBitIdentity:
         texts = self._texts(language)
         texts = texts + texts[:5]  # in-batch duplicates
         extractor = FeatureExtractor(analyzer)
-        batch = extractor.comment_stats_many(texts)
-        assert len(batch) == len(texts)
-        for text, stats in zip(texts, batch):
+        for text, stats in zip(texts, analyzed_many(extractor, texts)):
             assert_stats_equal(stats, comment_stats_scalar(extractor, text))
 
-    def test_duplicates_share_the_cached_object(self, analyzer, language):
-        texts = self._texts(language, n=5)
+    def test_cached_batches_equal_the_kernel(self, analyzer, language):
+        """Batches mixing cache hits, misses and in-batch duplicates
+        return the cache-less kernel's columns, dtypes included."""
+        texts = self._texts(language, n=12)
         extractor = FeatureExtractor(analyzer)
-        batch = extractor.comment_stats_many(texts + texts)
-        for first, second in zip(batch[:5], batch[5:]):
-            assert first is second
+        kernel = FeatureExtractor(analyzer, cache_size=0)
+        batches = [
+            texts[:4],  # all misses
+            texts[2:8] + texts[3:5],  # hits, misses, in-batch duplicates
+            texts[6:8] * 2,  # hits only, duplicated
+            texts[8:] + texts[8:],  # misses duplicated
+        ]
+        for batch in batches:
+            assert_columns_identical(
+                extractor.comment_stats_many(batch),
+                kernel.comment_columns(batch),
+            )
+        info = extractor.cache_info()
+        assert info.hits > 0 and info.size == len(texts)
 
     def test_extract_bit_identical_to_scalar_accumulation(
         self, analyzer, language
@@ -279,14 +310,14 @@ class TestSummationBoundaries:
     ):
         text = wide_comment(solo_words, k)
         extractor = FeatureExtractor(private_analyzer, cache_size=0)
-        stats = extractor.comment_stats(text)
+        stats = analyzed(extractor, text)
         assert len(stats.word_counts) == k
         assert stats == comment_stats_scalar(extractor, text)
 
     def test_edge_texts_match_scalar(self, private_analyzer, edge_texts):
         extractor = FeatureExtractor(private_analyzer, cache_size=0)
         for text in edge_texts:
-            assert extractor.comment_stats(text) == comment_stats_scalar(
+            assert analyzed(extractor, text) == comment_stats_scalar(
                 extractor, text
             )
 
@@ -294,10 +325,11 @@ class TestSummationBoundaries:
         self, private_analyzer, boundary_batch
     ):
         extractor = FeatureExtractor(private_analyzer)
-        batch = extractor.comment_stats_many(boundary_batch)
+        batch = analyzed_many(extractor, boundary_batch)
         for text, stats in zip(boundary_batch, batch):
             assert stats == comment_stats_scalar(extractor, text)
-            assert stats is batch[boundary_batch.index(text)]
+        # Served from the cache, the same batch decodes the same.
+        assert analyzed_many(extractor, boundary_batch) == batch
 
 
 def _records(texts):

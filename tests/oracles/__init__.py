@@ -13,8 +13,9 @@ compare the two and the benches can time the speedup:
 * :mod:`tests.oracles.segmentation` -- substring-hashing Viterbi;
 * :mod:`tests.oracles.word2vec` -- per-position skip-gram pairs;
 * :mod:`tests.oracles.similarity` -- per-word lexicon expansion;
-* :mod:`tests.oracles.features` -- string-based comment statistics and
-  the Table II formulas in Python arithmetic;
+* :mod:`tests.oracles.features` -- string-based comment statistics as
+  one record per comment, their per-item fold, and the Table II
+  formulas in Python arithmetic;
 * :mod:`tests.oracles.extended_features` -- the per-comment loop behind
   the four extended features;
 * :mod:`tests.oracles.columnar` -- ``CommentStats`` rebuilt from a

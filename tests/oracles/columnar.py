@@ -3,13 +3,14 @@ that compare stored analyses with fresh ones."""
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 
 import numpy as np
 
-from repro.core.columnar import ColumnarCommentStore
-from repro.core.features import CommentStats
+from repro.core.columnar import STAT_COLUMN_NAMES, ColumnarCommentStore
+from repro.core.features import CommentColumns
+from repro.core.interning import gather_ranges
+from tests.oracles.features import CommentStats, stats_of
 
 
 def rehydrate_stats(
@@ -17,61 +18,21 @@ def rehydrate_stats(
 ) -> list[CommentStats]:
     """Reconstruct :class:`CommentStats` for stored rows.
 
-    Field-for-field equal to the objects the extractor produced at
-    append time (``word_counts`` decoded through the interner), but
+    Field-for-field equal to the records the extractor's rows decode to
+    at append time (``word_counts`` decoded through the interner), but
     built from columns -- no segmentation or sentiment model runs.
     """
     rows = np.asarray(list(rows), dtype=np.int64)
-    offsets = store.offsets()
-    tokens = store.tokens()
-    columns = {
-        name: np.asarray(store.column(name))
-        for name in (
-            "n_positive_distinct",
-            "pos_neg_delta",
-            "n_punctuation",
-            "n_positive_bigrams",
-            "sentiment",
-            "entropy",
-            "punctuation_ratio",
-            "bigram_ratio_term",
-        )
-    }
-    out = []
-    for row in rows:
-        ids = np.asarray(
-            tokens[offsets[row] : offsets[row + 1]], dtype=np.int32
-        )
-        unique, counts = np.unique(ids, return_counts=True)
-        word_counts = Counter(
-            dict(
-                zip(
-                    store.interner.decode(unique),
-                    (int(c) for c in counts),
-                )
-            )
-        )
-        out.append(
-            CommentStats(
-                n_words=int(ids.shape[0]),
-                word_counts=word_counts,
-                n_positive_distinct=int(
-                    columns["n_positive_distinct"][row]
-                ),
-                pos_neg_delta=int(columns["pos_neg_delta"][row]),
-                sentiment=float(columns["sentiment"][row]),
-                entropy=float(columns["entropy"][row]),
-                n_punctuation=int(columns["n_punctuation"][row]),
-                punctuation_ratio=float(
-                    columns["punctuation_ratio"][row]
-                ),
-                n_positive_bigrams=int(
-                    columns["n_positive_bigrams"][row]
-                ),
-                bigram_ratio_term=float(
-                    columns["bigram_ratio_term"][row]
-                ),
-                token_ids=ids,
-            )
-        )
-    return out
+    offsets = np.asarray(store.offsets())
+    starts, ends = offsets[rows], offsets[rows + 1]
+    batch_offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(ends - starts, out=batch_offsets[1:])
+    batch = CommentColumns(
+        gather_ranges(np.asarray(store.tokens()), starts, ends),
+        batch_offsets,
+        {
+            name: np.asarray(store.column(name))[rows]
+            for name in STAT_COLUMN_NAMES
+        },
+    )
+    return stats_of(batch, store.interner)

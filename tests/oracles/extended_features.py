@@ -12,8 +12,8 @@ from repro.core.extended_features import (
     _POSITIVE_SENTIMENT_CUTOFF,
     date_burstiness,
 )
-from repro.core.features import FeatureExtractor, ItemAccumulator
-from tests.oracles.features import comment_stats_scalar
+from repro.core.features import FeatureExtractor
+from tests.oracles.features import ItemAccumulator, comment_stats_scalar
 
 
 def extended_vector_scalar(

@@ -13,11 +13,13 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.features import SUMMED_COLUMNS
 from repro.core.streaming import StreamingDetector
 from repro.serving.checkpoint import (
     CheckpointError,
     CheckpointManager,
 )
+from tests.oracles.features import streamed_vector
 
 
 @pytest.fixture()
@@ -59,23 +61,26 @@ class TestManager:
         state = detector.export_state()
         assert state["items"], "expected tracked items"
         specials = [0.1 + 0.2, 5e-324, -0.0, 1.7976931348623157e308]
+        # The float sums: sentiment, entropy, punctuation ratio, bigram
+        # ratio terms (after the word total and two integer sums).
         names = (
-            "sum_sentiment",
-            "sum_entropy",
-            "sum_punctuation_ratio",
-            "sum_bigram_ratio_terms",
+            "sentiment",
+            "entropy",
+            "punctuation_ratio",
+            "bigram_ratio_term",
         )
+        slots = [1 + SUMMED_COLUMNS.index(name) for name in names]
         for i, entry in enumerate(state["items"]):
             entry["last_probability"] = specials[i % 4]
-            for j, name in enumerate(names, start=1):
-                entry["accumulator"][name] = specials[(i + j) % 4]
+            for j, slot in enumerate(slots, start=1):
+                entry["sums"][slot] = specials[(i + j) % 4]
         manager.save(state)
         loaded, _ = manager.load_latest()
 
         def hexes(snapshot):
             return [
                 [entry["last_probability"].hex()]
-                + [entry["accumulator"][name].hex() for name in names]
+                + [entry["sums"][slot].hex() for slot in slots]
                 for entry in snapshot["items"]
             ]
 
@@ -86,10 +91,8 @@ class TestManager:
             assert item.last_probability.hex() == (
                 entry["last_probability"].hex()
             )
-            for name in names:
-                assert getattr(item.accumulator, name).hex() == (
-                    entry["accumulator"][name].hex()
-                )
+            for slot in slots:
+                assert item.sums[slot].hex() == entry["sums"][slot].hex()
 
     def test_version_1_directory_is_refused(
         self, manager, trained_cats, feed
@@ -108,6 +111,28 @@ class TestManager:
         with pytest.raises(CheckpointError, match="checkpoint version 1 "):
             manager.load_dir(path)
         with pytest.raises(CheckpointError, match="checkpoint version 1 "):
+            manager.load_latest()
+
+    def test_version_2_directory_is_refused(
+        self, manager, trained_cats, feed
+    ):
+        """A checkpoint whose items carry the older per-field
+        accumulator dict and word-count map is refused by version."""
+        detector = run_detector(trained_cats, feed[:20])
+        path = manager.save(detector.export_state())
+        payload = json.loads(
+            (path / "state.json").read_text(encoding="utf-8")
+        )
+        payload["checkpoint_version"] = 2
+        for entry in payload["items"]:
+            del entry["sums"], entry["words"]
+            entry["accumulator"] = {"n_comments": 0, "word_counts": {}}
+        (path / "state.json").write_text(
+            json.dumps(payload), encoding="utf-8"
+        )
+        with pytest.raises(CheckpointError, match="checkpoint version 2 "):
+            manager.load_dir(path)
+        with pytest.raises(CheckpointError, match="checkpoint version 2 "):
             manager.load_latest()
 
     def test_prune_keeps_newest(self, manager, trained_cats, feed):
@@ -177,8 +202,8 @@ class TestRoundTripProperty:
                 uninterrupted.probability(item_id)
             )
             np.testing.assert_array_equal(
-                restored._items[item_id].accumulator.to_vector(),
-                uninterrupted._items[item_id].accumulator.to_vector(),
+                streamed_vector(restored, item_id),
+                streamed_vector(uninterrupted, item_id),
             )
 
     def test_subsequent_forced_scores_identical(

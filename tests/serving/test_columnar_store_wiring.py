@@ -14,6 +14,7 @@ import pytest
 from repro.core.columnar import ColumnarCommentStore
 from repro.core.streaming import StreamingDetector
 from repro.serving import DetectionService
+from tests.oracles.features import streamed_vector
 
 
 @pytest.fixture()
@@ -52,10 +53,7 @@ class TestStreamingAppends:
         item_ids = sorted({r.item_id for r in feed[:200]})
         stream.force_rescore_many(item_ids)
         expected = np.vstack(
-            [
-                stream._items[item_id].accumulator.to_vector()
-                for item_id in item_ids
-            ]
+            [streamed_vector(stream, item_id) for item_id in item_ids]
         )
         assert np.array_equal(store.feature_matrix(item_ids), expected)
 
